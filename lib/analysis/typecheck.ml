@@ -33,8 +33,12 @@ let state_join p a b =
    verifier. *)
 let step p m ~report ~pc instr (st : state) =
   let pops, pushes = Verify.effect_of p m pc instr in
-  let what = Instr.to_string instr in
-  let err fmt = Format.kasprintf report fmt in
+  (* The instruction's text is only built when a message is reported:
+     the fixpoint pass steps every instruction many times and reports
+     nothing. *)
+  let err fmt =
+    Format.kasprintf (fun msg -> report (Instr.to_string instr ^ msg)) fmt
+  in
   let clash = "a type clash at join (int vs reference)" in
   let name_of ty =
     match ty with Ty.Conflict -> clash | _ -> Ty.to_string p ty
@@ -43,27 +47,26 @@ let step p m ~report ~pc instr (st : state) =
     match ty with
     | Ty.Bot | Ty.Int | Ty.Top -> ()
     | Ty.Conflict | Ty.Null | Ty.Ref _ | Ty.Arr | Ty.Any_ref ->
-        err "%s expects an int but got %s" what (name_of ty)
+        err " expects an int but got %s" (name_of ty)
   in
   let want_obj ty =
     match ty with
     | Ty.Bot | Ty.Top | Ty.Any_ref | Ty.Ref _ -> ()
     | Ty.Conflict | Ty.Int | Ty.Null | Ty.Arr ->
-        err "%s expects an object but got %s" what (name_of ty)
+        err " expects an object but got %s" (name_of ty)
   in
   let want_arr ty =
     match ty with
     | Ty.Bot | Ty.Top | Ty.Any_ref | Ty.Arr -> ()
     | Ty.Conflict | Ty.Int | Ty.Null | Ty.Ref _ ->
-        err "%s expects an array but got %s" what (name_of ty)
+        err " expects an array but got %s" (name_of ty)
   in
   let field_bounds i ty =
     match ty with
     | Ty.Ref c ->
         let bound = Ty.cone_max_fields p c in
         if i < 0 || i >= bound then
-          err "%s out of bounds: %s and its subclasses have at most %d fields"
-            what
+          err " out of bounds: %s and its subclasses have at most %d fields"
             (Program.clazz p c).Clazz.name
             bound
     | Ty.Bot | Ty.Int | Ty.Null | Ty.Arr | Ty.Any_ref | Ty.Conflict | Ty.Top
@@ -145,7 +148,7 @@ let step p m ~report ~pc instr (st : state) =
         want_obj recv;
         (match recv with
         | Ty.Ref c when not (Ty.related p c callee.Meth.owner) ->
-            err "%s on receiver %s unrelated to %s" what
+            err " on receiver %s unrelated to %s"
               (Program.clazz p c).Clazz.name
               (Program.clazz p callee.Meth.owner).Clazz.name
         | _ -> ());
@@ -155,7 +158,7 @@ let step p m ~report ~pc instr (st : state) =
         want_obj recv;
         (match recv with
         | Ty.Ref c when not (Ty.cone_implements p c sel) ->
-            err "%s unanswerable: no subclass of %s implements %s" what
+            err " unanswerable: no subclass of %s implements %s"
               (Program.clazz p c).Clazz.name
               (Program.selector_name p sel)
         | _ -> ());

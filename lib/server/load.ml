@@ -30,6 +30,19 @@ let percentile xs p =
     sorted.(min (n - 1) (max 0 (rank - 1)))
   end
 
+let percentiles xs ps =
+  let n = Array.length xs in
+  if n = 0 then Array.map (fun _ -> 0) ps
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort Int.compare sorted;
+    Array.map
+      (fun p ->
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+        sorted.(min (n - 1) (max 0 (rank - 1))))
+      ps
+  end
+
 let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0

@@ -17,9 +17,14 @@ val open_loop_arrivals : seed:int -> period:int -> n:int -> int array
 val percentile : int array -> float -> int
 (** Nearest-rank percentile of an (unsorted) sample; [percentile xs 50.0]
     is the median. 0 on an empty sample. Exact (full copy + sort): this
-    is the reference spec the log-bucketed {!Acsi_obs.Hist.quantile} is
-    differentially tested against, and it keeps computing the pinned
-    summary percentiles; histograms serve the telemetry surfaces. *)
+    is the reference spec that {!percentiles} and the log-bucketed
+    {!Acsi_obs.Hist.quantile} are tested against. The pinned summary
+    percentiles come from {!percentiles}; histograms serve the telemetry
+    surfaces. *)
+
+val percentiles : int array -> float array -> int array
+(** [percentiles xs ps] is [Array.map (percentile xs) ps], sorting one
+    copy of [xs] for all of [ps]. *)
 
 val mean : int array -> float
 (** Arithmetic mean; 0 on an empty sample. *)

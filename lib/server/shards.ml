@@ -604,6 +604,7 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
            })
          shards)
   in
+  let pct = Load.percentiles latencies [| 50.0; 95.0; 99.0 |] in
   let summary =
     {
       sh_workload = name;
@@ -619,9 +620,9 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
       sh_throughput_spmc =
         float_of_int sessions *. 1_000_000.0 /. float_of_int (max 1 makespan);
       sh_mean_latency = Load.mean latencies;
-      sh_p50 = Load.percentile latencies 50.0;
-      sh_p95 = Load.percentile latencies 95.0;
-      sh_p99 = Load.percentile latencies 99.0;
+      sh_p50 = pct.(0);
+      sh_p95 = pct.(1);
+      sh_p99 = pct.(2);
       sh_max_latency = Array.fold_left max 0 latencies;
       sh_steals =
         Array.fold_left (fun acc sd -> acc + sd.sd_steals_in) 0 shards;

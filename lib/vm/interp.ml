@@ -503,23 +503,45 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
 
 (* --- helpers --- *)
 
+(* Value checks. [Value]'s primitives are externals, so these inline
+   into the loops below; only the error paths call out of line. *)
 let[@inline] as_int v =
-  match (v : Value.t) with
-  | Value.Int n -> n
-  | Value.Null | Value.Obj _ | Value.Arr _ ->
-      rerr "expected an integer, got %a" Value.pp v
+  if Value.is_int v then Value.to_int v
+  else rerr "expected an integer, got %a" Value.pp v
 
 let[@inline] as_obj v =
-  match (v : Value.t) with
-  | Value.Obj o -> o
-  | Value.Null -> rerr "null dereference"
-  | Value.Int _ | Value.Arr _ -> rerr "expected an object, got %a" Value.pp v
+  if Value.is_int v then rerr "expected an object, got %a" Value.pp v
+  else
+    match Value.cell v with
+    | Value.Obj o -> o
+    | Value.Null () -> rerr "null dereference"
+    | Value.Arr _ -> rerr "expected an object, got %a" Value.pp v
 
 let[@inline] as_arr v =
-  match (v : Value.t) with
-  | Value.Arr a -> a
-  | Value.Null -> rerr "null array dereference"
-  | Value.Int _ | Value.Obj _ -> rerr "expected an array, got %a" Value.pp v
+  if Value.is_int v then rerr "expected an array, got %a" Value.pp v
+  else
+    match Value.cell v with
+    | Value.Arr a -> a
+    | Value.Null () -> rerr "null array dereference"
+    | Value.Obj _ -> rerr "expected an array, got %a" Value.pp v
+
+let[@inline] truthy v = not (v == Value.of_int 0 || v == Value.null)
+
+(* The register store: every write to a local or an operand-stack slot
+   goes through here. When the slot holds an integer and an integer is
+   written, [caml_modify] would only perform the write (an immediate
+   needs no remembered-set entry, and overwriting one darkens nothing),
+   so the write goes straight through an int view of the array. Any
+   store that writes or overwrites a pointer keeps the barrier. *)
+let[@inline] set regs i v =
+  if Value.is_int v && Value.is_int (Array.unsafe_get regs i) then
+    Array.unsafe_set (Value.int_slots regs) i (Value.to_int v)
+  else Array.unsafe_set regs i v
+
+(* [set] for the reference loop, keeping its bounds checks. *)
+let set_checked regs i v =
+  if i < 0 || i >= Array.length regs then invalid_arg "index out of bounds";
+  set regs i v
 
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
@@ -545,6 +567,25 @@ let[@inline] eval_cmp c a b =
     | Instr.Ge -> as_int a >= as_int b
   in
   if r then 1 else 0
+
+(* Whether a guard's receiver dispatches [g.sel] to [g.expected]. The
+   closure tier calls both of these out of line. *)
+let[@inline] guard_ok t (g : Instr.guard) recv =
+  (not (Value.is_int recv))
+  &&
+  match Value.cell recv with
+  | Value.Obj o -> (
+      match Program.dispatch t.program o.Value.cls g.Instr.sel with
+      | Some target -> Ids.Method_id.equal target g.Instr.expected
+      | None -> false)
+  | Value.Null () | Value.Arr _ -> false
+
+let[@inline] instance_of t cid v =
+  (not (Value.is_int v))
+  &&
+  match Value.cell v with
+  | Value.Obj o -> Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
+  | Value.Null () | Value.Arr _ -> false
 
 (* --- execution --- *)
 
@@ -575,7 +616,7 @@ let invoke t (mid : Ids.Method_id.t) =
   let nslots = t.param_slots.((mid :> int)) in
   for k = nslots - 1 downto 0 do
     caller.f_sp <- caller.f_sp - 1;
-    Array.unsafe_set fr.f_regs k (Array.unsafe_get caller.f_regs caller.f_sp)
+    set fr.f_regs k (Array.unsafe_get caller.f_regs caller.f_sp)
   done;
   t.invoke_countdown <- t.invoke_countdown - 1;
   if t.invoke_countdown <= 0 then begin
@@ -603,9 +644,10 @@ let dispatch_target t (recv : Value.t) sel =
    loop) and are flushed back to the frame at every window exit and before
    anything that can observe or mutate the frame (calls, returns, guards,
    allocations — all of which also end the window). Operand-stack and
-   locals accesses use unsafe reads/writes: every executed [Code.t] has
-   passed the bytecode verifier (the front end and the inline expander
-   both verify), which bounds them by [max_stack]/[max_locals]. *)
+   locals accesses use unsafe reads/writes (the writes through [set]):
+   every executed [Code.t] has passed the bytecode verifier (the front
+   end and the inline expander both verify), which bounds them by
+   [max_stack]/[max_locals]. *)
 (* Window accounting: [remaining] is the number of virtual cycles until
    the next timer check ([t.next_sample - t.cycles], kept in a register),
    and [ninstr] counts source instructions executed in the current frame
@@ -637,20 +679,20 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
   else begin
     match Array.unsafe_get ops pc with
     | Dcode.Const v ->
-        Array.unsafe_set stack sp v;
+        set stack sp v;
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Load i ->
-        Array.unsafe_set stack sp (Array.unsafe_get locals i);
+        set stack sp (Array.unsafe_get locals i);
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Store i ->
         let sp = sp - 1 in
-        Array.unsafe_set locals i (Array.unsafe_get stack sp);
+        set locals i (Array.unsafe_get stack sp);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Dup ->
-        Array.unsafe_set stack sp (Array.unsafe_get stack (sp - 1));
+        set stack sp (Array.unsafe_get stack (sp - 1));
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Pop ->
@@ -658,32 +700,32 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (ninstr + 1)
     | Dcode.Swap ->
         let a = Array.unsafe_get stack (sp - 1) in
-        Array.unsafe_set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
-        Array.unsafe_set stack (sp - 2) a;
+        set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
+        set stack (sp - 2) a;
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Binop op ->
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+        set stack (sp - 1) (Value.of_int (eval_binop op a b));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Neg ->
-        Array.unsafe_set stack (sp - 1)
+        set stack (sp - 1)
           (Value.of_int (-as_int (Array.unsafe_get stack (sp - 1))));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Not ->
-        Array.unsafe_set stack (sp - 1)
-          (Value.of_bool (not (Value.truthy (Array.unsafe_get stack (sp - 1)))));
+        set stack (sp - 1)
+          (Value.of_bool (not (truthy (Array.unsafe_get stack (sp - 1)))));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Cmp c ->
         let b = Array.unsafe_get stack (sp - 1) in
         let a = Array.unsafe_get stack (sp - 2) in
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+        set stack (sp - 1) (Value.of_int (eval_cmp c a b));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Jump target ->
@@ -691,7 +733,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (ninstr + 1)
     | Dcode.Jump_if target ->
         let sp = sp - 1 in
-        if Value.truthy (Array.unsafe_get stack sp) then
+        if truthy (Array.unsafe_get stack sp) then
           step t fr ops icost stack locals target sp (remaining - icost)
             (ninstr + 1)
         else
@@ -699,7 +741,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
             (ninstr + 1)
     | Dcode.Jump_ifnot target ->
         let sp = sp - 1 in
-        if Value.truthy (Array.unsafe_get stack sp) then
+        if truthy (Array.unsafe_get stack sp) then
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         else
@@ -709,12 +751,12 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.alloc;
         note_class_load t cid;
-        Array.unsafe_set stack sp (Value.alloc t.program cid);
+        set stack sp (Value.alloc t.program cid);
         step t fr ops icost stack locals (pc + 1) (sp + 1)
           (t.next_sample - t.cycles) 0
     | Dcode.Get_field i ->
         let o = as_obj (Array.unsafe_get stack (sp - 1)) in
-        Array.unsafe_set stack (sp - 1) o.Value.fields.(i);
+        set stack (sp - 1) o.Value.fields.(i);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Put_field i ->
@@ -724,7 +766,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         step t fr ops icost stack locals (pc + 1) (sp - 2) (remaining - icost)
           (ninstr + 1)
     | Dcode.Get_global i ->
-        Array.unsafe_set stack sp t.globals.(i);
+        set stack sp t.globals.(i);
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Put_global i ->
@@ -738,7 +780,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         flush t icost (ninstr + 1);
         t.cycles <-
           t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        Array.unsafe_set stack (sp - 1) (Value.Arr (Array.make n Value.zero));
+        set stack (sp - 1) (Value.arr (Array.make n Value.zero));
         step t fr ops icost stack locals (pc + 1) sp
           (t.next_sample - t.cycles) 0
     | Dcode.Array_get ->
@@ -747,7 +789,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Array.unsafe_get a i);
+        set stack (sp - 1) (Array.unsafe_get a i);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Array_set ->
@@ -761,7 +803,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (ninstr + 1)
     | Dcode.Array_len ->
         let a = as_arr (Array.unsafe_get stack (sp - 1)) in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (Array.length a));
+        set stack (sp - 1) (Value.of_int (Array.length a));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Call mid ->
@@ -782,16 +824,8 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = Array.unsafe_get stack (sp - 1 - g.Instr.argc) in
-        let ok =
-          match recv with
-          | Value.Obj o -> (
-              match Program.dispatch t.program o.Value.cls g.Instr.sel with
-              | Some target -> Ids.Method_id.equal target g.Instr.expected
-              | None -> false)
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
-        in
         let pc =
-          if ok then begin
+          if guard_ok t g recv then begin
             t.guard_hits <- t.guard_hits + 1;
             pc + 1
           end
@@ -808,7 +842,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         t.depth <- t.depth - 1;
         if t.depth > 0 then begin
           let caller = t.frames.(t.depth - 1) in
-          caller.f_regs.(caller.f_sp) <- result;
+          set caller.f_regs caller.f_sp result;
           caller.f_sp <- caller.f_sp + 1;
           caller.f_pc <- caller.f_pc + 1;
           continue_window t
@@ -822,13 +856,8 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           continue_window t
         end
     | Dcode.Instance_of cid ->
-        let r =
-          match Array.unsafe_get stack (sp - 1) with
-          | Value.Obj o ->
-              Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
-        in
-        Array.unsafe_set stack (sp - 1) (Value.of_bool r);
+        set stack (sp - 1)
+          (Value.of_bool (instance_of t cid (Array.unsafe_get stack (sp - 1))));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Print_int ->
@@ -848,26 +877,26 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > 2 * icost then begin
           let b = as_int (Array.unsafe_get locals j) in
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp (Value.of_int (eval_binop op a b));
+          set stack sp (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 3) (sp + 1)
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_const_binop (i, n, op) ->
         if remaining > 2 * icost then begin
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp (Value.of_int (eval_binop op a n));
+          set stack sp (Value.of_int (eval_binop op a n));
           step t fr ops icost stack locals (pc + 3) (sp + 1)
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -875,39 +904,39 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > 3 * icost then begin
           let b = as_int (Array.unsafe_get locals j) in
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d (Value.of_int (eval_binop op a b));
+          set locals d (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 4) sp
             (remaining - (4 * icost))
             (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_const_binop_store (i, n, op, d) ->
         if remaining > 3 * icost then begin
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d (Value.of_int (eval_binop op a n));
+          set locals d (Value.of_int (eval_binop op a n));
           step t fr ops icost stack locals (pc + 4) sp
             (remaining - (4 * icost))
             (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_getfield_store (i, f, d) ->
         if remaining > 2 * icost then begin
           let o = as_obj (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d o.Value.fields.(f);
+          set locals d o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 3) sp
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -926,7 +955,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -943,57 +972,57 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_store (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals j (Array.unsafe_get locals i);
+          set locals j (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Const_store (v, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals j v;
+          set locals j v;
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp v;
+          set stack sp v;
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_getfield (i, f) ->
         if remaining > icost then begin
           let o = as_obj (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp o.Value.fields.(f);
+          set stack sp o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 2) (sp + 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load2 (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
-          Array.unsafe_set stack (sp + 1) (Array.unsafe_get locals j);
+          set stack sp (Array.unsafe_get locals i);
+          set stack (sp + 1) (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) (sp + 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1013,7 +1042,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set stack (sp - 1) (Value.of_int (eval_cmp c a b));
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1033,7 +1062,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set stack (sp - 1) (Value.of_int (eval_cmp c a b));
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1041,84 +1070,84 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          Array.unsafe_set locals j (Value.of_int (eval_binop op a b));
+          set locals j (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set stack (sp - 1) (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Const_binop (n, op) ->
         if remaining > icost then begin
-          (* the constant is the top operand [b]; it is an [Int] by
+          (* the constant is the top operand [b]; it is an integer by
              construction, so only [a] needs the dynamic check *)
           let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a n));
+          set stack (sp - 1) (Value.of_int (eval_binop op a n));
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Value.of_int n);
+          set stack sp (Value.of_int n);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Store_load (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get locals j);
+          set locals i (Array.unsafe_get stack (sp - 1));
+          set stack (sp - 1) (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Store_store (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
-          Array.unsafe_set locals j (Array.unsafe_get stack (sp - 2));
+          set locals i (Array.unsafe_get stack (sp - 1));
+          set locals j (Array.unsafe_get stack (sp - 2));
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Store_jump (i, target) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
+          set locals i (Array.unsafe_get stack (sp - 1));
           step t fr ops icost stack locals target (sp - 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Getfield_load (f, j) ->
         let o = as_obj (Array.unsafe_get stack (sp - 1)) in
         if remaining > icost then begin
-          Array.unsafe_set stack (sp - 1) o.Value.fields.(f);
-          Array.unsafe_set stack sp (Array.unsafe_get locals j);
+          set stack (sp - 1) o.Value.fields.(f);
+          set stack sp (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) (sp + 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack (sp - 1) o.Value.fields.(f);
+          set stack (sp - 1) o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1127,13 +1156,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (* the loaded local is the top operand [b] of the binop *)
           let b = as_int (Array.unsafe_get locals i) in
           let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set stack (sp - 1) (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1141,13 +1170,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > icost then begin
           let b = Array.unsafe_get locals i in
           let a = Array.unsafe_get stack (sp - 1) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set stack (sp - 1) (Value.of_int (eval_cmp c a b));
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1158,13 +1187,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           if idx < 0 || idx >= Array.length a then
             rerr "array index %d out of bounds (length %d)" idx
               (Array.length a);
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get a idx);
+          set stack (sp - 1) (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1172,15 +1201,15 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          Array.unsafe_set stack (sp - 2) (Value.of_int (eval_binop op a b));
-          Array.unsafe_set stack (sp - 1) v;
+          set stack (sp - 2) (Value.of_int (eval_binop op a b));
+          set stack (sp - 1) v;
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set stack (sp - 1) (Value.of_int (eval_binop op a b));
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1188,32 +1217,31 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          (* the first result is the (always-Int) top operand of the
-             second binop, so it never needs boxing *)
+          (* the first result is the (always integer) top operand of
+             the second binop, so it needs no dynamic check *)
           let r1 = eval_binop op1 a b in
           let a2 = as_int (Array.unsafe_get stack (sp - 3)) in
-          Array.unsafe_set stack (sp - 3)
-            (Value.of_int (eval_binop op2 a2 r1));
+          set stack (sp - 3) (Value.of_int (eval_binop op2 a2 r1));
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op1 a b));
+          set stack (sp - 1) (Value.of_int (eval_binop op1 a b));
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Const_cmp (v, c) ->
         if remaining > icost then begin
           let a = Array.unsafe_get stack (sp - 1) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a v));
+          set stack (sp - 1) (Value.of_int (eval_cmp c a v));
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp v;
+          set stack sp v;
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1223,20 +1251,20 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if idx < 0 || idx >= Array.length a then
           rerr "array index %d out of bounds (length %d)" idx (Array.length a);
         if remaining > icost then begin
-          Array.unsafe_set locals j (Array.unsafe_get a idx);
+          set locals j (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get a idx);
+          set stack (sp - 1) (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Load_jumpifnot (i, target) ->
         if remaining > icost then begin
-          if Value.truthy (Array.unsafe_get locals i) then
+          if truthy (Array.unsafe_get locals i) then
             step t fr ops icost stack locals (pc + 2) sp
               (remaining - (2 * icost))
               (ninstr + 2)
@@ -1246,7 +1274,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1391,23 +1419,23 @@ let run_reference ?(cycle_limit = max_int) t =
     let stack = fr.f_regs in
     (match instr with
     | Instr.Const n ->
-        stack.(fr.f_sp) <- Value.Int n;
+        set_checked stack fr.f_sp (Value.of_int n);
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Const_null ->
-        stack.(fr.f_sp) <- Value.Null;
+        set_checked stack fr.f_sp Value.null;
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Load i ->
-        stack.(fr.f_sp) <- fr.f_regs.(i);
+        set_checked stack fr.f_sp fr.f_regs.(i);
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Store i ->
         fr.f_sp <- fr.f_sp - 1;
-        fr.f_regs.(i) <- stack.(fr.f_sp);
+        set_checked fr.f_regs i stack.(fr.f_sp);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Dup ->
-        stack.(fr.f_sp) <- stack.(fr.f_sp - 1);
+        set_checked stack fr.f_sp stack.(fr.f_sp - 1);
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Pop ->
@@ -1415,46 +1443,47 @@ let run_reference ?(cycle_limit = max_int) t =
         fr.f_pc <- fr.f_pc + 1
     | Instr.Swap ->
         let a = stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- stack.(fr.f_sp - 2);
-        stack.(fr.f_sp - 2) <- a;
+        set_checked stack (fr.f_sp - 1) stack.(fr.f_sp - 2);
+        set_checked stack (fr.f_sp - 2) a;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Binop op ->
         let b = as_int stack.(fr.f_sp - 1) in
         let a = as_int stack.(fr.f_sp - 2) in
         fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.Int (eval_binop op a b);
+        set_checked stack (fr.f_sp - 1) (Value.of_int (eval_binop op a b));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Neg ->
-        stack.(fr.f_sp - 1) <- Value.Int (-as_int stack.(fr.f_sp - 1));
+        set_checked stack (fr.f_sp - 1)
+          (Value.of_int (-as_int stack.(fr.f_sp - 1)));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Not ->
-        stack.(fr.f_sp - 1) <-
-          Value.Int (if Value.truthy stack.(fr.f_sp - 1) then 0 else 1);
+        set_checked stack (fr.f_sp - 1)
+          (Value.of_int (if truthy stack.(fr.f_sp - 1) then 0 else 1));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Cmp c ->
         let b = stack.(fr.f_sp - 1) in
         let a = stack.(fr.f_sp - 2) in
         fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.Int (eval_cmp c a b);
+        set_checked stack (fr.f_sp - 1) (Value.of_int (eval_cmp c a b));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Jump target -> fr.f_pc <- target
     | Instr.Jump_if target ->
         fr.f_sp <- fr.f_sp - 1;
-        if Value.truthy stack.(fr.f_sp) then fr.f_pc <- target
+        if truthy stack.(fr.f_sp) then fr.f_pc <- target
         else fr.f_pc <- fr.f_pc + 1
     | Instr.Jump_ifnot target ->
         fr.f_sp <- fr.f_sp - 1;
-        if Value.truthy stack.(fr.f_sp) then fr.f_pc <- fr.f_pc + 1
+        if truthy stack.(fr.f_sp) then fr.f_pc <- fr.f_pc + 1
         else fr.f_pc <- target
     | Instr.New cid ->
         t.cycles <- t.cycles + t.cost.Cost.alloc;
         note_class_load t cid;
-        stack.(fr.f_sp) <- Value.alloc t.program cid;
+        set_checked stack fr.f_sp (Value.alloc t.program cid);
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Get_field i ->
         let o = as_obj stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- o.Value.fields.(i);
+        set_checked stack (fr.f_sp - 1) o.Value.fields.(i);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Put_field i ->
         let v = stack.(fr.f_sp - 1) in
@@ -1463,7 +1492,7 @@ let run_reference ?(cycle_limit = max_int) t =
         o.Value.fields.(i) <- v;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Get_global i ->
-        stack.(fr.f_sp) <- t.globals.(i);
+        set_checked stack fr.f_sp t.globals.(i);
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Put_global i ->
@@ -1475,7 +1504,7 @@ let run_reference ?(cycle_limit = max_int) t =
         if n < 0 then rerr "negative array size %d" n;
         t.cycles <-
           t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        stack.(fr.f_sp - 1) <- Value.Arr (Array.make n Value.zero);
+        set_checked stack (fr.f_sp - 1) (Value.arr (Array.make n Value.zero));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Array_get ->
         let i = as_int stack.(fr.f_sp - 1) in
@@ -1483,7 +1512,7 @@ let run_reference ?(cycle_limit = max_int) t =
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
         fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- a.(i);
+        set_checked stack (fr.f_sp - 1) a.(i);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Array_set ->
         let v = stack.(fr.f_sp - 1) in
@@ -1496,7 +1525,7 @@ let run_reference ?(cycle_limit = max_int) t =
         fr.f_pc <- fr.f_pc + 1
     | Instr.Array_len ->
         let a = as_arr stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- Value.Int (Array.length a);
+        set_checked stack (fr.f_sp - 1) (Value.of_int (Array.length a));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Call_static mid -> invoke t mid
     | Instr.Call_direct mid -> invoke t mid
@@ -1507,15 +1536,7 @@ let run_reference ?(cycle_limit = max_int) t =
     | Instr.Guard_method g ->
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
-        let ok =
-          match recv with
-          | Value.Obj o -> (
-              match Program.dispatch t.program o.Value.cls g.Instr.sel with
-              | Some target -> Ids.Method_id.equal target g.Instr.expected
-              | None -> false)
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
-        in
-        if ok then begin
+        if guard_ok t g recv then begin
           t.guard_hits <- t.guard_hits + 1;
           fr.f_pc <- fr.f_pc + 1
         end
@@ -1529,7 +1550,7 @@ let run_reference ?(cycle_limit = max_int) t =
         t.depth <- t.depth - 1;
         if t.depth > 0 then begin
           let caller = t.frames.(t.depth - 1) in
-          caller.f_regs.(caller.f_sp) <- result;
+          set_checked caller.f_regs caller.f_sp result;
           caller.f_sp <- caller.f_sp + 1;
           caller.f_pc <- caller.f_pc + 1
         end
@@ -1540,15 +1561,8 @@ let run_reference ?(cycle_limit = max_int) t =
           caller.f_pc <- caller.f_pc + 1
         end
     | Instr.Instance_of cid ->
-        let r =
-          match stack.(fr.f_sp - 1) with
-          | Value.Obj o ->
-              if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-              then 1
-              else 0
-          | Value.Null | Value.Int _ | Value.Arr _ -> 0
-        in
-        stack.(fr.f_sp - 1) <- Value.Int r;
+        set_checked stack (fr.f_sp - 1)
+          (Value.of_bool (instance_of t cid stack.(fr.f_sp - 1)));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Print_int ->
         fr.f_sp <- fr.f_sp - 1;

@@ -371,6 +371,14 @@ val invoke : t -> Ids.Method_id.t -> unit
 
 val dispatch_target : t -> Value.t -> Ids.Selector.t -> Ids.Method_id.t
 
+val guard_ok : t -> Instr.guard -> Value.t -> bool
+(** Whether the receiver passes the guard: it is an object whose class
+    dispatches the guard's selector to its expected target. *)
+
+val instance_of : t -> Ids.Class_id.t -> Value.t -> bool
+(** The [Instance_of] test: the value is an object of the class or a
+    subclass (never null, an integer or an array). *)
+
 val note_class_load : t -> Ids.Class_id.t -> unit
 (** Mark the class loaded and fire [on_class_load] if this is its first
     instantiation ([New] branches of all execution engines call this). *)

@@ -1,58 +1,49 @@
 open Acsi_bytecode
 
-type t =
-  | Int of int
-  | Null
-  | Obj of obj
-  | Arr of t array
+(* An integer is an immediate; anything else points at a [cell]. No
+   [t] is an object (see the interface for why the type says so):
+   values are only ever built by the [%identity] casts below, and a
+   [cell] is only inspected once [is_int] has ruled out an immediate. *)
+type t = < >
 
 and obj = {
   cls : Ids.Class_id.t;
   fields : t array;
 }
 
-let zero = Int 0
-let one = Int 1
+type cell = Null of unit | Obj of obj | Arr of t array
 
-(* Shared immutable cells for common integers, so that the interpreter's
-   constant pushes and arithmetic results do not allocate. [Int] values
-   are compared structurally ({!equal_cmp}), never by identity, so sharing
-   is unobservable. *)
-let small_lo = -128
-let small_hi = 1024
-let small = Array.init (small_hi - small_lo) (fun i -> Int (i + small_lo))
+external is_int : t -> bool = "%obj_is_int"
+external to_int : t -> int = "%identity"
+external of_int : int -> t = "%identity"
+external of_bool : bool -> t = "%identity"
+external cell : t -> cell = "%identity"
+external of_cell : cell -> t = "%identity"
+external int_slots : t array -> int array = "%identity"
+external equal_cmp : t -> t -> bool = "%eq"
 
-let[@inline] of_int n =
-  if n >= small_lo && n < small_hi then Array.unsafe_get small (n - small_lo)
-  else Int n
-
-let[@inline] of_bool b = if b then one else zero
+let null = of_cell (Null ())
+let zero = of_int 0
+let obj o = of_cell (Obj o)
+let arr a = of_cell (Arr a)
 
 let alloc program cid =
   let cls = Program.clazz program cid in
-  Obj { cls = cid; fields = Array.make (Clazz.field_count cls) zero }
+  obj { cls = cid; fields = Array.make (Clazz.field_count cls) zero }
 
-let[@inline] equal_cmp a b =
-  match (a, b) with
-  | Int x, Int y -> x = y
-  | Null, Null -> true
-  | Obj x, Obj y -> x == y
-  | Arr x, Arr y -> x == y
-  | (Int _ | Null | Obj _ | Arr _), _ -> false
+let truthy v = not (v == zero || v == null)
 
-let[@inline] truthy = function
-  | Int 0 | Null -> false
-  | Int _ | Obj _ | Arr _ -> true
-
-let rec pp fmt = function
-  | Int n -> Format.fprintf fmt "%d" n
-  | Null -> Format.fprintf fmt "null"
-  | Obj o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.cls
-  | Arr a ->
-      Format.fprintf fmt "[|";
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Format.fprintf fmt "; ";
-          if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
-        a;
-      Format.fprintf fmt "|]"
+let rec pp fmt v =
+  if is_int v then Format.fprintf fmt "%d" (to_int v)
+  else
+    match cell v with
+    | Null () -> Format.fprintf fmt "null"
+    | Obj o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.cls
+    | Arr a ->
+        Format.fprintf fmt "[|";
+        Array.iteri
+          (fun i v ->
+            if i > 0 then Format.fprintf fmt "; ";
+            if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
+          a;
+        Format.fprintf fmt "|]"

@@ -159,6 +159,21 @@ let test_percentiles () =
   Alcotest.(check int) "empty" 0 (Load.percentile [||] 50.0);
   Alcotest.(check (float 1e-9)) "mean" 50.5 (Load.mean xs)
 
+(* [Load.percentiles] sorts once for all of its percentiles; the
+   reference spec [Load.percentile] sorts per call. They must agree on
+   every sample (empty included) and every percentile. *)
+let prop_percentiles_match_spec =
+  QCheck.Test.make ~name:"Load.percentiles agrees with Load.percentile"
+    ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 200) (int_range (-1000) 1_000_000))
+        (list_of_size Gen.(int_range 0 6) (float_range 0.0 100.0)))
+    (fun (values, ps) ->
+      let xs = Array.of_list values in
+      let ps = Array.of_list (50.0 :: 95.0 :: 99.0 :: 100.0 :: ps) in
+      Load.percentiles xs ps = Array.map (Load.percentile xs) ps)
+
 (* --- the server harness itself --- *)
 
 let serve_db ?(async_compile = true) () =
@@ -310,6 +325,7 @@ let suite =
     Alcotest.test_case "metrics snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "open-loop arrivals" `Quick test_open_loop_arrivals;
     Alcotest.test_case "percentiles" `Quick test_percentiles;
+    QCheck_alcotest.to_alcotest prop_percentiles_match_spec;
     Alcotest.test_case "async compilation overlaps mutator" `Slow
       test_async_compilation_overlaps;
     Alcotest.test_case "sync compilation path unchanged" `Slow
