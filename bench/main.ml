@@ -10,14 +10,17 @@
      dune exec bench/main.exe -- --sessions N sessions per sharded cell
      dune exec bench/main.exe -- --trace      traced per-component sweep
      dune exec bench/main.exe -- --deopt      guards-vs-guard-free ablation
-     dune exec bench/main.exe -- --speculate  guard-free speculation on
      dune exec bench/main.exe -- --micro      bechamel microbenchmarks
      dune exec bench/main.exe -- --jobs 8     domain-parallel driver
-     dune exec bench/main.exe -- --no-native-tier   interpreter tier only
-     dune exec bench/main.exe -- --static-seed   static pre-warm oracle on
      dune exec bench/main.exe -- --json       append run to BENCH_results.json
      dune exec bench/main.exe -- --json-out F append run to F instead
+     dune exec bench/main.exe -- --help       every option
      dune exec bench/compare.exe A.json B.json   diff two results files
+
+   The engine settings (--no-native-tier, --static-seed, --speculate)
+   come from the one table every entry point shares
+   (Acsi_settings.Settings); each applies to every run the harness
+   performs, and the results file stamps the run with their values.
 
    Everything is deterministic: identical invocations print identical
    numbers, whatever --jobs is — cells fan out across domains but are
@@ -27,235 +30,126 @@
 open Acsi_core
 module Policy = Acsi_policy.Policy
 module Workloads = Acsi_workloads.Workloads
+module Settings = Acsi_settings.Settings
+
+type section =
+  | Table1
+  | Fig4
+  | Fig5
+  | Fig6
+  | Term_stats
+  | Summary
+  | Ablations
+  | Serve
+  | Trace
+  | Deopt
+  | Micro
 
 type mode = {
-  mutable table1 : bool;
-  mutable fig4 : bool;
-  mutable fig5 : bool;
-  mutable fig6 : bool;
-  mutable term_stats : bool;
-  mutable summary : bool;
-  mutable ablations : bool;
-  mutable serve : bool;
-  mutable trace : bool;
-  mutable deopt : bool;
-  mutable micro : bool;
-  mutable shards : int list;
-      (* shard counts for the sharded-server section (--serve) *)
-  mutable sessions : int;
-      (* open-loop sessions per sharded cell, before scale_factor *)
-  mutable scale_factor : float;
-  mutable jobs : int;
-  mutable json : bool;
-  mutable json_path : string;
+  sections : section list;
+  shards : int list; (* shard counts for the sharded-server section (--serve) *)
+  sessions : int; (* open-loop sessions per sharded cell, before scale_factor *)
+  scale_factor : float;
+  jobs : int;
+  json_path : string option; (* where to append the run, if anywhere *)
+  settings : Settings.values;
 }
 
-(* Execution-tier selection for every run the harness performs.
-   --no-native-tier keeps all methods on the interpreter tier; the
-   printed numbers are byte-identical either way (the closure tier is a
-   host-speed change only — test_tier pins this), so the flag exists to
-   measure the host-time difference and to let compare.exe label runs
-   with the tier they executed on. *)
-let native_tier = ref true
+let config mode ~policy = Settings.apply mode.settings (Config.default ~policy)
 
-let tier_name () = if !native_tier then "closure" else "interp"
-
-(* --static-seed: run every cell with the static pre-warm oracle on
-   (summaries drive inlining at method install, before any sample).
-   Cycle counts legitimately change, so the run record is stamped with
-   the flag and compare.exe refuses a cross-seed comparison at equal
-   scale unless told otherwise — same shape as the tier stamp, except
-   seeding is a measured behaviour change, not a host-speed one. *)
-let static_seed = ref false
-
-(* --speculate: run every cell with guard-free speculative inlining and
-   the deoptimization machinery on (pre-existence-proven receivers at
-   loaded-CHA-monomorphic sites inline with no guard; class loads and
-   guard storms revert and deoptimize). Output checksums are unchanged
-   by construction, but cycle counts legitimately move, so the run
-   record is stamped and compare.exe refuses a cross-spec comparison at
-   equal scale unless told otherwise — the static-seed shape again. *)
-let speculate = ref false
-
-let config ~policy =
-  let cfg = Config.default ~policy in
-  let cfg =
-    if !native_tier then cfg
-    else
-      {
-        cfg with
-        Config.aos =
-          { cfg.Config.aos with Acsi_aos.System.native_tier = false };
-      }
+let mode_term =
+  let open Cmdliner in
+  let scale_factor =
+    Arg.conv
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some v when v > 0.0 -> Ok v
+          | Some _ | None ->
+              Error (`Msg (Printf.sprintf "invalid scale factor %S" s))),
+        Format.pp_print_float )
   in
-  let cfg =
-    if not !static_seed then cfg
-    else
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with Acsi_aos.System.static_seed = true };
-      }
+  let shard_count =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 && n <= 64 -> Ok n
+          | Some _ | None ->
+              Error (`Msg (Printf.sprintf "invalid shard count %S (1-64)" s))),
+        Format.pp_print_int )
   in
-  if not !speculate then cfg
-  else
+  let section flag s doc = (s, Arg.info [ flag ] ~doc) in
+  let sections =
+    Arg.(
+      value
+      & vflag_all []
+          [
+            section "table1" Table1 "Table 1.";
+            section "fig4" Fig4 "Figure 4.";
+            section "fig5" Fig5 "Figure 5.";
+            section "fig6" Fig6 "Figure 6.";
+            section "term-stats" Term_stats "Section 4 termination statistics.";
+            section "summary" Summary "The summary table.";
+            section "ablations" Ablations "Design-choice ablations.";
+            section "serve" Serve
+              "Server, sharded-server and static-oracle cells.";
+            section "trace" Trace "Traced per-component sweep.";
+            section "deopt" Deopt "Guards-vs-guard-free ablation.";
+            section "micro" Micro "Bechamel microbenchmarks.";
+          ])
+  in
+  let make sections shards sessions quick scale_factor jobs json json_out
+      settings =
+    let everything = sections = [] in
     {
-      cfg with
-      Config.aos =
-        {
-          cfg.Config.aos with
-          Acsi_aos.System.speculate = true;
-          enable_osr = true;
-        };
-    }
-
-let parse_args () =
-  let m =
-    {
-      table1 = false;
-      fig4 = false;
-      fig5 = false;
-      fig6 = false;
-      term_stats = false;
-      summary = false;
-      ablations = false;
-      serve = false;
-      trace = false;
-      deopt = false;
-      micro = false;
-      shards = [ 1; 2; 4 ];
-      sessions = 1_000_000;
-      scale_factor = 1.0;
-      jobs = Parallel.available_cores ();
-      json = false;
-      json_path = "BENCH_results.json";
+      (* Default: the full reproduction (micro excluded; it measures the
+         harness, not the paper), recorded to the results file. *)
+      sections =
+        (if everything then
+           [ Table1; Fig4; Fig5; Fig6; Term_stats; Summary; Ablations; Serve;
+             Trace; Deopt ]
+         else sections);
+      shards;
+      sessions;
+      scale_factor =
+        (match scale_factor with
+        | Some f -> f
+        | None -> if quick then 0.25 else 1.0);
+      jobs;
+      json_path =
+        (match json_out with
+        | Some p -> Some p
+        | None when json || everything -> Some "BENCH_results.json"
+        | None -> None);
+      settings;
     }
   in
-  let any = ref false in
-  let rec go = function
-    | [] -> ()
-    | "--table1" :: rest ->
-        m.table1 <- true;
-        any := true;
-        go rest
-    | "--fig4" :: rest ->
-        m.fig4 <- true;
-        any := true;
-        go rest
-    | "--fig5" :: rest ->
-        m.fig5 <- true;
-        any := true;
-        go rest
-    | "--fig6" :: rest ->
-        m.fig6 <- true;
-        any := true;
-        go rest
-    | "--term-stats" :: rest ->
-        m.term_stats <- true;
-        any := true;
-        go rest
-    | "--summary" :: rest ->
-        m.summary <- true;
-        any := true;
-        go rest
-    | "--ablations" :: rest ->
-        m.ablations <- true;
-        any := true;
-        go rest
-    | "--serve" :: rest ->
-        m.serve <- true;
-        any := true;
-        go rest
-    | "--trace" :: rest ->
-        m.trace <- true;
-        any := true;
-        go rest
-    | "--deopt" :: rest ->
-        m.deopt <- true;
-        any := true;
-        go rest
-    | "--micro" :: rest ->
-        m.micro <- true;
-        any := true;
-        go rest
-    | "--shards" :: v :: rest ->
-        (* Comma-separated shard counts for the --serve sharded
-           section, e.g. --shards 4 or --shards 1,8. *)
-        let parts = String.split_on_char ',' v in
-        let parsed = List.filter_map int_of_string_opt parts in
-        if
-          List.length parsed = List.length parts
-          && parsed <> []
-          && List.for_all (fun n -> n >= 1 && n <= 64) parsed
-        then m.shards <- parsed
-        else begin
-          Format.eprintf "invalid --shards value %s@." v;
-          exit 2
-        end;
-        go rest
-    | "--sessions" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> m.sessions <- n
-        | Some _ | None ->
-            Format.eprintf "invalid --sessions value %s@." v;
-            exit 2);
-        go rest
-    | "--quick" :: rest ->
-        m.scale_factor <- 0.25;
-        go rest
-    | "--scale-factor" :: f :: rest ->
-        (match float_of_string_opt f with
-        | Some v when v > 0.0 -> m.scale_factor <- v
-        | Some _ | None ->
-            Format.eprintf "invalid --scale-factor value %s@." f;
-            exit 2);
-        go rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v -> m.jobs <- max 1 v
-        | None ->
-            Format.eprintf "invalid --jobs value %s@." n;
-            exit 2);
-        go rest
-    | "--native-tier" :: rest ->
-        native_tier := true;
-        go rest
-    | "--no-native-tier" :: rest ->
-        native_tier := false;
-        go rest
-    | "--static-seed" :: rest ->
-        static_seed := true;
-        go rest
-    | "--speculate" :: rest ->
-        speculate := true;
-        go rest
-    | "--json" :: rest ->
-        m.json <- true;
-        go rest
-    | "--json-out" :: p :: rest ->
-        m.json <- true;
-        m.json_path <- p;
-        go rest
-    | arg :: _ ->
-        Format.eprintf "unknown argument %s@." arg;
-        exit 2
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  if not !any then begin
-    (* Default: the full reproduction (micro excluded; it measures the
-       harness, not the paper). *)
-    m.table1 <- true;
-    m.fig4 <- true;
-    m.fig5 <- true;
-    m.fig6 <- true;
-    m.term_stats <- true;
-    m.summary <- true;
-    m.ablations <- true;
-    m.serve <- true;
-    m.trace <- true;
-    m.deopt <- true;
-    m.json <- true
-  end;
-  m
+  Term.(
+    const make $ sections
+    $ Arg.(
+        value
+        & opt (list shard_count) [ 1; 2; 4 ]
+        & info [ "shards" ] ~doc:"Comma-separated shard counts for --serve.")
+    $ Arg.(
+        value
+        & opt Settings.positive 1_000_000
+        & info [ "sessions" ] ~doc:"Open-loop sessions per sharded cell.")
+    $ Arg.(value & flag & info [ "quick" ] ~doc:"Scale factor 0.25.")
+    $ Arg.(
+        value
+        & opt (some scale_factor) None
+        & info [ "scale-factor" ] ~doc:"Workload scale factor.")
+    $ Arg.(
+        value
+        & opt Settings.positive (Parallel.available_cores ())
+        & info [ "jobs" ] ~doc:"Domains to fan cells out over.")
+    $ Arg.(
+        value & flag
+        & info [ "json" ] ~doc:"Append the run to BENCH_results.json.")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "json-out" ] ~docv:"FILE" ~doc:"Append the run to FILE.")
+    $ Settings.term)
 
 let hr title =
   Format.printf "@.%s@.%s@.@." title (String.make (String.length title) '=')
@@ -292,7 +186,7 @@ let remember ~bench ~policy result =
    default-config run for everything the consuming sections read
    (metrics, profiles). [cfg] overrides the fallback configuration for
    callers that need those counters populated on a cache miss. *)
-let cached_run ?cfg bench policy program =
+let cached_run mode ?cfg bench policy program =
   Mutex.lock run_cache_mutex;
   let hit = Hashtbl.find_opt run_cache (bench, Policy.to_string policy) in
   Mutex.unlock run_cache_mutex;
@@ -300,46 +194,37 @@ let cached_run ?cfg bench policy program =
   | Some r -> r
   | None ->
       let cfg =
-        match cfg with Some c -> c | None -> config ~policy
+        match cfg with Some c -> c | None -> config mode ~policy
       in
       let r = Runtime.run cfg program in
       remember ~bench ~policy r;
       r
 
-let the_sweep = ref None
-
 let sweep mode =
-  match !the_sweep with
-  | Some s -> s
-  | None ->
-      let benches =
-        List.map
-          (fun (name, program) -> { Experiment.name; program })
-          (Workloads.build_all ~scale_factor:mode.scale_factor ())
-      in
-      let cfg = config ~policy:Policy.Context_insensitive in
-      (* Termination-stat collection only increments counters on the
-         trace listener — no virtual-time or decision effect — so every
-         figure is unchanged, and the fixed(max=5) cells double as the
-         termination-stats section's runs. *)
-      let cfg =
+  let benches =
+    List.map
+      (fun (name, program) -> { Experiment.name; program })
+      (Workloads.build_all ~scale_factor:mode.scale_factor ())
+  in
+  let cfg = config mode ~policy:Policy.Context_insensitive in
+  (* Termination-stat collection only increments counters on the trace
+     listener — no virtual-time or decision effect — so every figure is
+     unchanged, and the fixed(max=5) cells double as the
+     termination-stats section's runs. *)
+  let cfg =
+    {
+      cfg with
+      Config.aos =
         {
-          cfg with
-          Config.aos =
-            {
-              cfg.Config.aos with
-              Acsi_aos.System.collect_termination_stats = true;
-            };
-        }
-      in
-      let s =
-        Experiment.run_sweep
-          ~progress:(fun msg -> Format.eprintf "  [sweep] %s@." msg)
-          ~jobs:mode.jobs ~cell_hook:remember cfg ~benches
-          ~policies:Policy.paper_sweep
-      in
-      the_sweep := Some s;
-      s
+          cfg.Config.aos with
+          Acsi_aos.System.collect_termination_stats = true;
+        };
+    }
+  in
+  Experiment.run_sweep
+    ~progress:(fun msg -> Format.eprintf "  [sweep] %s@." msg)
+    ~jobs:mode.jobs ~cell_hook:remember cfg ~benches
+    ~policies:Policy.paper_sweep
 
 (* --- §4 in-text termination statistics --- *)
 
@@ -357,7 +242,7 @@ let term_stats mode =
   let rows =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
-        let cfg = config ~policy:(Policy.Fixed 5) in
+        let cfg = config mode ~policy:(Policy.Fixed 5) in
         let cfg =
           {
             cfg with
@@ -368,7 +253,7 @@ let term_stats mode =
               };
           }
         in
-        let result = cached_run ~cfg name (Policy.Fixed 5) program in
+        let result = cached_run mode ~cfg name (Policy.Fixed 5) program in
         let st = Acsi_aos.System.trace_stats result.Runtime.sys in
         let n = max 1 st.Acsi_aos.Trace_listener.samples in
         let pct x = 100.0 *. float_of_int x /. float_of_int n in
@@ -394,7 +279,7 @@ let ablations mode =
   in
   let run ?(tweak_aos = fun c -> c) ?(tweak_oracle = fun c -> c) program
       policy =
-    let cfg = config ~policy in
+    let cfg = config mode ~policy in
     let aos = tweak_aos cfg.Config.aos in
     let aos =
       {
@@ -424,10 +309,11 @@ let ablations mode =
         Format.fprintf fmt "@.%s (deltas vs context-insensitive baseline):@."
           name;
       let base =
-        (cached_run name Policy.Context_insensitive program).Runtime.metrics
+        (cached_run mode name Policy.Context_insensitive program)
+          .Runtime.metrics
       in
       show "fixed(3), full system" base
-        (cached_run name (Policy.Fixed 3) program).Runtime.metrics;
+        (cached_run mode name (Policy.Fixed 3) program).Runtime.metrics;
       show "fixed(3), exact-match oracle" base
         (run
            ~tweak_oracle:(fun c ->
@@ -464,8 +350,8 @@ let ablations mode =
            program (Policy.Fixed 3));
       (* Offline profile-directed inlining: seed the run with the profile a
          previous identical run collected (see Acsi_profile.Persist). *)
-      let cfg = config ~policy:(Policy.Fixed 3) in
-      let collect = cached_run name (Policy.Fixed 3) program in
+      let cfg = config mode ~policy:(Policy.Fixed 3) in
+      let collect = cached_run mode name (Policy.Fixed 3) program in
       let profile =
         Acsi_profile.Persist.of_string
           (Acsi_profile.Persist.to_string
@@ -486,7 +372,7 @@ let ablations mode =
   let rows =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
-        let result = cached_run name (Policy.Fixed 4) program in
+        let result = cached_run mode name (Policy.Fixed 4) program in
         let dcg = Acsi_aos.System.dcg result.Runtime.sys in
         let cct = Acsi_profile.Cct.of_dcg dcg in
         Format.asprintf "  %-10s flat=%4d entries   cct=%4d nodes (depth %d)@."
@@ -515,7 +401,7 @@ let extended mode =
         in
         let program = spec.Workloads.build ~scale in
         let base =
-          (Runtime.run (config ~policy:Policy.Context_insensitive)
+          (Runtime.run (config mode ~policy:Policy.Context_insensitive)
              program)
             .Runtime.metrics
         in
@@ -524,7 +410,7 @@ let extended mode =
         List.iter
           (fun policy ->
             let m =
-              (Runtime.run (config ~policy) program).Runtime.metrics
+              (Runtime.run (config mode ~policy) program).Runtime.metrics
             in
             Format.fprintf fmt
               "  %-18s speedup %+7.2f%%  code %+8.2f%%  compile %+8.2f%%               guards %d/%d@."
@@ -565,7 +451,7 @@ let serve_mode mode =
             ~mode:
               (Acsi_server.Server.Closed
                  { clients = 4; requests_per_client = 6; think = 50_000 })
-            ~name (config ~policy) program
+            ~name (config mode ~policy) program
         in
         let s = result.Acsi_server.Server.summary in
         (* The warmup curve as a sparkline (mean latency per window,
@@ -592,19 +478,17 @@ let serve_mode mode =
             (Acsi_obs.Hist.quantile lat 99.0)
             (Acsi_obs.Hist.count lat)
         in
-        let cell =
-          {
-            Results.s_bench = name;
-            s_policy = s.Acsi_server.Server.sv_policy;
-            s_requests = s.Acsi_server.Server.sv_requests;
-            s_total_cycles = s.Acsi_server.Server.sv_total_cycles;
-            s_throughput_rpmc = s.Acsi_server.Server.sv_throughput_rpmc;
-            s_p50 = s.Acsi_server.Server.sv_p50;
-            s_p95 = s.Acsi_server.Server.sv_p95;
-            s_p99 = s.Acsi_server.Server.sv_p99;
-          }
-        in
-        (text, cell))
+        let open Acsi_server.Server in
+        ( text,
+          Results.
+            [
+              ("bench", Str name); ("policy", Str s.sv_policy);
+              ("requests", Int s.sv_requests);
+              ("total_cycles", Int s.sv_total_cycles);
+              ("throughput_rpmc", Float s.sv_throughput_rpmc);
+              ("p50", Int s.sv_p50); ("p95", Int s.sv_p95);
+              ("p99", Int s.sv_p99);
+            ] ))
       [ "db"; "jess"; "compress" ]
   in
   List.iter (fun (text, _) -> print_string text) cells;
@@ -642,7 +526,7 @@ let shard_mode mode =
       let result =
         Acsi_server.Shards.run ~jobs:mode.jobs ~pool:2
           ~pool_policy:Acsi_aos.System.Hot_first ~shards ~sessions ~period
-          ~name:spec.Workloads.name (config ~policy) program
+          ~name:spec.Workloads.name (config mode ~policy) program
       in
       let s = result.Acsi_server.Shards.summary in
       Format.printf "%a@.@." Acsi_server.Shards.pp_summary s;
@@ -688,48 +572,34 @@ let shard_mode mode =
           0
           tel.Acsi_server.Shards.tel_series
       in
-      let tcell =
-        {
-          Results.t_bench = s.Acsi_server.Shards.sh_workload;
-          t_shards = s.Acsi_server.Shards.sh_shards;
-          t_sessions = s.Acsi_server.Shards.sh_sessions;
-          t_interval = tel.Acsi_server.Shards.tel_interval;
-          t_hist_p50 = p 50.0;
-          t_hist_p90 = p 90.0;
-          t_hist_p99 = p 99.0;
-          t_hist_count = Acsi_obs.Hist.count lat;
-          t_hist_sum = Acsi_obs.Hist.sum lat;
-          t_compile_wait_p99 =
-            Acsi_obs.Hist.quantile tel.Acsi_server.Shards.tel_compile_wait
-              99.0;
-          t_deopt_gap_p99 =
-            Acsi_obs.Hist.quantile tel.Acsi_server.Shards.tel_deopt_gap 99.0;
-          t_steal_flows = steal_flows;
-          t_adopt_flows = adopt_flows;
-          t_flow_conserved = conserved;
-          t_deopts = deopts;
-          t_series_checksum = series_checksum;
-        }
-      in
-      ( {
-        Results.sh_bench = s.Acsi_server.Shards.sh_workload;
-        sh_policy = s.Acsi_server.Shards.sh_policy;
-        sh_shards = s.Acsi_server.Shards.sh_shards;
-        sh_pool = s.Acsi_server.Shards.sh_pool;
-        sh_pool_policy = s.Acsi_server.Shards.sh_pool_policy;
-        sh_sessions = s.Acsi_server.Shards.sh_sessions;
-        sh_period = s.Acsi_server.Shards.sh_period;
-        sh_makespan = s.Acsi_server.Shards.sh_makespan;
-        sh_throughput_spmc = s.Acsi_server.Shards.sh_throughput_spmc;
-        sh_p50 = s.Acsi_server.Shards.sh_p50;
-        sh_p95 = s.Acsi_server.Shards.sh_p95;
-        sh_p99 = s.Acsi_server.Shards.sh_p99;
-        sh_steals = s.Acsi_server.Shards.sh_steals;
-        sh_fairness = s.Acsi_server.Shards.sh_fairness;
-          sh_published = s.Acsi_server.Shards.sh_published;
-          sh_adopted = s.Acsi_server.Shards.sh_adopted;
-        },
-        tcell ))
+      let open Acsi_server.Shards in
+      let open Results in
+      ( [
+          ("bench", Str s.sh_workload); ("policy", Str s.sh_policy);
+          ("shards", Int s.sh_shards); ("pool", Int s.sh_pool);
+          ("pool_policy", Str s.sh_pool_policy);
+          ("sessions", Int s.sh_sessions); ("period", Int s.sh_period);
+          ("makespan", Int s.sh_makespan);
+          ("throughput_spmc", Float s.sh_throughput_spmc);
+          ("p50", Int s.sh_p50); ("p95", Int s.sh_p95); ("p99", Int s.sh_p99);
+          ("steals", Int s.sh_steals); ("fairness", Float s.sh_fairness);
+          ("published", Int s.sh_published); ("adopted", Int s.sh_adopted);
+        ],
+        [
+          ("bench", Str s.sh_workload); ("shards", Int s.sh_shards);
+          ("sessions", Int s.sh_sessions); ("interval", Int tel.tel_interval);
+          ("hist_p50", Int (p 50.0)); ("hist_p90", Int (p 90.0));
+          ("hist_p99", Int (p 99.0));
+          ("hist_count", Int (Acsi_obs.Hist.count lat));
+          ("hist_sum", Str (string_of_int (Acsi_obs.Hist.sum lat)));
+          ( "compile_wait_p99",
+            Int (Acsi_obs.Hist.quantile tel.tel_compile_wait 99.0) );
+          ( "deopt_gap_p99",
+            Int (Acsi_obs.Hist.quantile tel.tel_deopt_gap 99.0) );
+          ("steal_flows", Int steal_flows); ("adopt_flows", Int adopt_flows);
+          ("flow_conserved", Bool conserved); ("deopts", Int deopts);
+          ("series_checksum", Str (string_of_int series_checksum));
+        ] ))
     mode.shards
   |> List.split
 
@@ -749,66 +619,62 @@ let static_oracle_mode mode =
   hr "Static pre-warm oracle (summary-seeded inlining, warmup ablation)";
   let policy = Policy.Fixed 3 in
   let serve ~seeded name program =
-    let cfg = config ~policy in
-    let cfg =
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with Acsi_aos.System.static_seed = seeded };
-      }
-    in
     (Acsi_server.Server.run
        ~mode:
          (Acsi_server.Server.Closed
             { clients = 4; requests_per_client = 16; think = 50_000 })
-       ~name cfg program)
+       ~name
+       (Settings.static_seed.set seeded (config mode ~policy))
+       program)
       .Acsi_server.Server.summary
   in
   let cells =
     Parallel.map ~jobs:mode.jobs
       (fun name ->
-        let spec = Workloads.find name in
-        let program = spec.Workloads.build ~scale:1 in
-        let off = serve ~seeded:false name program in
-        let on_ = serve ~seeded:true name program in
-        {
-          Results.p_bench = name;
-          p_policy = off.Acsi_server.Server.sv_policy;
-          p_requests = off.Acsi_server.Server.sv_requests;
-          p_warmup_off = off.Acsi_server.Server.sv_warmup_requests;
-          p_warmup_on = on_.Acsi_server.Server.sv_warmup_requests;
-          p_steady_off = off.Acsi_server.Server.sv_steady_latency;
-          p_steady_on = on_.Acsi_server.Server.sv_steady_latency;
-          p_checksum_off = off.Acsi_server.Server.sv_output_checksum;
-          p_checksum_on = on_.Acsi_server.Server.sv_output_checksum;
-        })
+        let program = (Workloads.find name).Workloads.build ~scale:1 in
+        ( name,
+          serve ~seeded:false name program,
+          serve ~seeded:true name program ))
       [ "db"; "jess"; "compress"; "jack"; "javac"; "jbb"; "session" ]
   in
+  let open Acsi_server.Server in
   Format.printf "%-10s %8s %11s %11s %7s %12s %12s  %s@." "bench" "requests"
     "warmup-off" "warmup-on" "delta" "steady-off" "steady-on" "checksum";
   List.iter
-    (fun (p : Results.pcell) ->
-      Format.printf "%-10s %8d %11d %11d %+7d %12.0f %12.0f  %s@."
-        p.Results.p_bench p.Results.p_requests p.Results.p_warmup_off
-        p.Results.p_warmup_on
-        (p.Results.p_warmup_on - p.Results.p_warmup_off)
-        p.Results.p_steady_off p.Results.p_steady_on
-        (if p.Results.p_checksum_off = p.Results.p_checksum_on then
-           "identical"
+    (fun (name, off, on_) ->
+      Format.printf "%-10s %8d %11d %11d %+7d %12.0f %12.0f  %s@." name
+        off.sv_requests off.sv_warmup_requests on_.sv_warmup_requests
+        (on_.sv_warmup_requests - off.sv_warmup_requests)
+        off.sv_steady_latency on_.sv_steady_latency
+        (if off.sv_output_checksum = on_.sv_output_checksum then "identical"
          else "differs (interleaved output)"))
     cells;
   let improved =
     List.length
       (List.filter
-         (fun (p : Results.pcell) ->
-           p.Results.p_warmup_on < p.Results.p_warmup_off
-           && p.Results.p_checksum_off = p.Results.p_checksum_on)
+         (fun (_, off, on_) ->
+           on_.sv_warmup_requests < off.sv_warmup_requests
+           && off.sv_output_checksum = on_.sv_output_checksum)
          cells)
   in
   Format.printf
     "@.%d of %d workloads reach steady state earlier with the static oracle \
      (identical output)@."
     improved (List.length cells);
-  cells
+  List.map
+    (fun (name, off, on_) ->
+      Results.
+        [
+          ("bench", Str name); ("policy", Str off.sv_policy);
+          ("requests", Int off.sv_requests);
+          ("warmup_off", Int off.sv_warmup_requests);
+          ("warmup_on", Int on_.sv_warmup_requests);
+          ("steady_off", Float off.sv_steady_latency);
+          ("steady_on", Float on_.sv_steady_latency);
+          ("checksum_off", Str (string_of_int off.sv_output_checksum));
+          ("checksum_on", Str (string_of_int on_.sv_output_checksum));
+        ])
+    cells
 
 (* --- guards vs guard-free: the speculative-inlining ablation --- *)
 
@@ -831,77 +697,61 @@ let deopt_panel mode =
     Parallel.map ~jobs:mode.jobs
       (fun name ->
         let spec = Workloads.find name in
-        let program = spec.Workloads.build ~scale:spec.Workloads.default_scale in
-        let half ~spec_on =
-          let cfg = config ~policy in
-          let cfg =
-            {
-              cfg with
-              Config.aos =
-                {
-                  cfg.Config.aos with
-                  Acsi_aos.System.speculate = spec_on;
-                  enable_osr =
-                    (spec_on || cfg.Config.aos.Acsi_aos.System.enable_osr);
-                };
-            }
-          in
+        let program =
+          spec.Workloads.build ~scale:spec.Workloads.default_scale
+        in
+        let half on_ =
+          let cfg = Settings.speculate.set on_ (config mode ~policy) in
           (Runtime.run cfg program).Runtime.metrics
         in
-        let off = half ~spec_on:false in
-        let on_ = half ~spec_on:true in
-        {
-          Results.g_bench = name;
-          g_policy = Policy.to_string policy;
-          g_hits_off = off.Metrics.guard_hits;
-          g_misses_off = off.Metrics.guard_misses;
-          g_hits_on = on_.Metrics.guard_hits;
-          g_misses_on = on_.Metrics.guard_misses;
-          g_storms_on = on_.Metrics.deopt_guard;
-          g_invalidated_on = on_.Metrics.deopt_invalidate;
-          g_cycles_off = off.Metrics.total_cycles;
-          g_cycles_on = on_.Metrics.total_cycles;
-          g_checksum_off = off.Metrics.output_checksum;
-          g_checksum_on = on_.Metrics.output_checksum;
-        })
+        (name, half false, half true))
       [ "javac"; "jack"; "jbb"; "dispatch" ]
   in
+  let open Metrics in
+  let checks m = m.guard_hits + m.guard_misses in
   Format.printf "%-10s %15s %15s %12s %12s %13s %s@." "bench" "guards-off"
     "guards-on" "guard-cyc-off" "guard-cyc-on" "deopts-on" "checksum";
   List.iter
-    (fun (g : Results.gcell) ->
-      let checks_off = g.Results.g_hits_off + g.Results.g_misses_off in
-      let checks_on = g.Results.g_hits_on + g.Results.g_misses_on in
+    (fun (name, off, on_) ->
       Format.printf "%-10s %7d/%-7d %7d/%-7d %12d %12d %5d st %3d inv  %s@."
-        g.Results.g_bench g.Results.g_hits_off g.Results.g_misses_off
-        g.Results.g_hits_on g.Results.g_misses_on (checks_off * guard_cost)
-        (checks_on * guard_cost) g.Results.g_storms_on
-        g.Results.g_invalidated_on
-        (if g.Results.g_checksum_off = g.Results.g_checksum_on then
-           "identical"
+        name off.guard_hits off.guard_misses on_.guard_hits on_.guard_misses
+        (checks off * guard_cost) (checks on_ * guard_cost) on_.deopt_guard
+        on_.deopt_invalidate
+        (if off.output_checksum = on_.output_checksum then "identical"
          else "DIFFERS");
-      if g.Results.g_checksum_off <> g.Results.g_checksum_on then begin
+      if off.output_checksum <> on_.output_checksum then begin
         Format.eprintf
           "SEMANTIC VIOLATION: %s output checksum changed under \
            speculation (%d vs %d)@."
-          g.Results.g_bench g.Results.g_checksum_off g.Results.g_checksum_on;
+          name off.output_checksum on_.output_checksum;
         exit 1
       end)
     cells;
   let reclaimed =
     List.fold_left
-      (fun acc (g : Results.gcell) ->
-        acc
-        + ((g.Results.g_hits_off + g.Results.g_misses_off
-            - g.Results.g_hits_on - g.Results.g_misses_on)
-          * guard_cost))
+      (fun acc (_, off, on_) -> acc + ((checks off - checks on_) * guard_cost))
       0 cells
   in
   Format.printf
     "@.%d guard cycles reclaimed across the panel (identical output \
      everywhere)@."
     reclaimed;
-  cells
+  List.map
+    (fun (name, off, on_) ->
+      Results.
+        [
+          ("bench", Str name); ("policy", Str (Policy.to_string policy));
+          ("hits_off", Int off.guard_hits);
+          ("misses_off", Int off.guard_misses);
+          ("hits_on", Int on_.guard_hits); ("misses_on", Int on_.guard_misses);
+          ("storms_on", Int on_.deopt_guard);
+          ("invalidated_on", Int on_.deopt_invalidate);
+          ("cycles_off", Int off.total_cycles);
+          ("cycles_on", Int on_.total_cycles);
+          ("checksum_off", Str (string_of_int off.output_checksum));
+          ("checksum_on", Str (string_of_int on_.output_checksum));
+        ])
+    cells
 
 (* --- traced sweep: per-component overhead from tracer spans --- *)
 
@@ -929,7 +779,7 @@ let traced_components mode =
                (mode.scale_factor *. float_of_int spec.Workloads.default_scale))
         in
         let program = spec.Workloads.build ~scale in
-        let cfg = config ~policy in
+        let cfg = config mode ~policy in
         let cfg =
           {
             cfg with
@@ -974,12 +824,13 @@ let traced_components mode =
                ~total:result.Runtime.metrics.Metrics.total_cycles)
             rows
         in
+        let components = List.map (fun (nm, c) -> (nm, Results.Int c)) rows in
         ( text,
-          {
-            Results.c_bench = bench;
-            c_policy = Policy.to_string policy;
-            c_components = rows;
-          },
+          Results.
+            [
+              ("bench", Str bench); ("policy", Str (Policy.to_string policy));
+              ("components", Obj components);
+            ],
           Acsi_vm.Interp.calibration result.Runtime.vm ))
       (List.concat_map
          (fun b -> List.map (fun p -> (b, p)) policies)
@@ -1010,8 +861,7 @@ let traced_components mode =
     List.filter_map
       (fun tier ->
         match Hashtbl.find_opt buckets tier with
-        | Some (cycles, host_s) when cycles > 0 ->
-            Some { Results.k_tier = tier; k_cycles = cycles; k_host_s = host_s }
+        | Some (cycles, host_s) when cycles > 0 -> Some (tier, cycles, host_s)
         | Some _ | None -> None)
       [ "interp"; "closure"; "system" ]
   in
@@ -1019,10 +869,11 @@ let traced_components mode =
     "  [calibration] host ns per charged virtual cycle, over %d traced cells:@."
     (List.length cells);
   List.iter
-    (fun (k : Results.calib) ->
-      Format.eprintf "  [calibration]   %-8s %12d cycles  %8.3fs  %8.2f ns/cycle@."
-        k.Results.k_tier k.Results.k_cycles k.Results.k_host_s
-        (k.Results.k_host_s *. 1e9 /. float_of_int k.Results.k_cycles))
+    (fun (tier, cycles, host_s) ->
+      Format.eprintf
+        "  [calibration]   %-8s %12d cycles  %8.3fs  %8.2f ns/cycle@." tier
+        cycles host_s
+        (host_s *. 1e9 /. float_of_int cycles))
     calibration;
   (* Charge-constant sanity check: Cost prices system work (compilation,
      organizer, tracing) in the same virtual currency as application
@@ -1045,8 +896,11 @@ let traced_components mode =
         Some (host_s *. 1e9 /. float_of_int cycles)
     | Some _ | None -> None
   in
+  let app_tier =
+    if Settings.get mode.settings Settings.tier then "closure" else "interp"
+  in
   let check =
-    match (ns (tier_name ()), ns "system") with
+    match (ns app_tier, ns "system") with
     | Some app_ns, Some system_ns when app_ns > 0.0 ->
         let ratio = system_ns /. app_ns in
         let verdict =
@@ -1057,17 +911,29 @@ let traced_components mode =
         Format.eprintf
           "  [calibration] system-charge sanity: system %.2f ns/cycle vs %s \
            %.2f ns/cycle — ratio %.2f, verdict: %s@."
-          system_ns (tier_name ()) app_ns ratio verdict;
-        Some
-          {
-            Results.v_app_ns = app_ns;
-            v_system_ns = system_ns;
-            v_ratio = ratio;
-            v_verdict = verdict;
-          }
-    | _ -> None
+          system_ns app_tier app_ns ratio verdict;
+        Results.
+          [
+            [
+              ("app_ns", Float app_ns); ("system_ns", Float system_ns);
+              ("ratio", Float ratio); ("verdict", Str verdict);
+            ];
+          ]
+    | _ -> []
   in
-  (List.map (fun (_, c, _) -> c) cells, calibration, check)
+  [
+    ("components", List.map (fun (_, c, _) -> c) cells);
+    ( "calibration",
+      List.map
+        (fun (tier, cycles, host_s) ->
+          Results.
+            [
+              ("tier", Str tier); ("cycles", Int cycles);
+              ("host_s", Float host_s);
+            ])
+        calibration );
+    ("calibration_check", check);
+  ]
 
 (* --- machine-readable results: per-cell wall-clock + virtual cycles --- *)
 
@@ -1078,42 +944,33 @@ let traced_components mode =
    file is a trajectory — each invocation appends its run, so the
    wall-clock history survives in one file and compare.exe can diff any
    two points of it (see results.ml). *)
-let write_json mode (s : Experiment.sweep option) server shards
-    telemetry_cells static_cells speculation_cells components calibration
-    calibration_check =
-  let path = mode.json_path in
+let write_json mode path (sweep : Experiment.sweep option) tables =
   let wall_total_s, cells =
-    match s with
+    match sweep with
     | None -> (0.0, [])
     | Some s ->
         ( s.Experiment.wall_total_s,
           List.map
             (fun (t : Experiment.timing) ->
-              {
-                Results.bench = t.Experiment.t_bench;
-                policy = t.Experiment.t_policy;
-                wall_s = t.Experiment.t_wall_s;
-                total_cycles = t.Experiment.t_cycles;
-              })
+              Results.
+                [
+                  ("bench", Str t.Experiment.t_bench);
+                  ("policy", Str t.Experiment.t_policy);
+                  ("wall_s", Float t.Experiment.t_wall_s);
+                  ("total_cycles", Int t.Experiment.t_cycles);
+                ])
             s.Experiment.timings )
+  in
+  let tables =
+    ("cells", cells) :: List.filter (fun (_, rows) -> rows <> []) tables
   in
   let run =
     {
       Results.jobs = mode.jobs;
       scale_factor = mode.scale_factor;
       wall_total_s;
-      tier = tier_name ();
-      static_seed = !static_seed;
-      speculate = !speculate;
-      cells;
-      server;
-      shards;
-      telemetry = telemetry_cells;
-      static = static_cells;
-      speculation = speculation_cells;
-      components;
-      calibration;
-      calibration_check;
+      settings = mode.settings;
+      tables;
     }
   in
   let prior =
@@ -1129,15 +986,17 @@ let write_json mode (s : Experiment.sweep option) server shards
   in
   Results.write_file path (prior @ [ run ]);
   Format.eprintf
-    "  [json] appended run %d to %s (%d cells, %d server cells, %d shard \
-     cells, %d static cells, %d component cells, sweep wall %.2fs, jobs %d)@."
-    (List.length prior) path (List.length cells) (List.length server)
-    (List.length shards) (List.length static_cells) (List.length components)
+    "  [json] appended run %d to %s (%s; sweep wall %.2fs, jobs %d)@."
+    (List.length prior) path
+    (String.concat ", "
+       (List.map
+          (fun (name, rows) -> Printf.sprintf "%d %s" (List.length rows) name)
+          tables))
     wall_total_s mode.jobs
 
 (* --- bechamel microbenchmarks: one Test.make per table/figure kernel --- *)
 
-let micro () =
+let micro mode =
   hr "Bechamel microbenchmarks (one kernel per table/figure)";
   let open Bechamel in
   let program = (Workloads.find "db").Workloads.build ~scale:2 in
@@ -1153,7 +1012,7 @@ let micro () =
   let fig4_kernel =
     Test.make ~name:"fig4/adaptive-run"
       (Staged.stage (fun () ->
-           ignore (Runtime.run (config ~policy:(Policy.Fixed 3)) jess)))
+           ignore (Runtime.run (config mode ~policy:(Policy.Fixed 3)) jess)))
   in
   (* Figure 5 kernel: inline expansion + code-size accounting. *)
   let oracle = Acsi_jit.Oracle.create program in
@@ -1216,57 +1075,58 @@ let micro () =
       | Some _ | None -> Format.printf "%-36s %16s@." name "n/a")
     results
 
-let () =
-  let mode = parse_args () in
+let run mode =
+  let on section = List.mem section mode.sections in
+  let sweep = lazy (sweep mode) in
+  let report section title pp =
+    if on section then begin
+      hr title;
+      pp Format.std_formatter (Lazy.force sweep)
+    end
+  in
   Format.printf
     "Adaptive Online Context-Sensitive Inlining (CGO 2003) — reproduction \
      harness@.scale factor %.2f@."
     mode.scale_factor;
-  if mode.table1 then begin
-    hr "Table 1";
-    Report.table1 Format.std_formatter (sweep mode);
-    Format.print_newline ()
-  end;
-  if mode.fig4 then begin
-    hr "Figure 4";
-    Report.figure4 Format.std_formatter (sweep mode)
-  end;
-  if mode.fig5 then begin
-    hr "Figure 5";
-    Report.figure5 Format.std_formatter (sweep mode)
-  end;
-  if mode.fig6 then begin
-    hr "Figure 6";
-    Report.figure6 Format.std_formatter (sweep mode);
-    Format.print_newline ()
-  end;
-  if mode.term_stats then term_stats mode;
-  if mode.summary then begin
-    hr "Summary";
-    Report.summary Format.std_formatter (sweep mode);
-    Format.print_newline ()
-  end;
-  if mode.ablations then begin
+  report Table1 "Table 1" (fun fmt s ->
+      Report.table1 fmt s;
+      Format.print_newline ());
+  report Fig4 "Figure 4" Report.figure4;
+  report Fig5 "Figure 5" Report.figure5;
+  report Fig6 "Figure 6" (fun fmt s ->
+      Report.figure6 fmt s;
+      Format.print_newline ());
+  if on Term_stats then term_stats mode;
+  report Summary "Summary" (fun fmt s ->
+      Report.summary fmt s;
+      Format.print_newline ());
+  if on Ablations then begin
     ablations mode;
     extended mode
   end;
-  let server_cells = if mode.serve then serve_mode mode else [] in
-  let shard_cells, telemetry_cells =
-    if mode.serve then shard_mode mode else ([], [])
+  let tables =
+    (if on Serve then
+       let server = serve_mode mode in
+       let shards, telemetry = shard_mode mode in
+       [ ("server", server); ("shards", shards); ("telemetry", telemetry);
+         ("static", static_oracle_mode mode) ]
+     else [])
+    @ (if on Deopt then [ ("speculation", deopt_panel mode) ] else [])
+    @ if on Trace then traced_components mode else []
   in
-  let static_cells = if mode.serve then static_oracle_mode mode else [] in
-  let speculation_cells = if mode.deopt then deopt_panel mode else [] in
-  let component_cells, calibration, calibration_check =
-    if mode.trace then traced_components mode else ([], [], None)
-  in
-  if mode.micro then micro ();
-  if
-    mode.json
-    && (Option.is_some !the_sweep || server_cells <> [] || shard_cells <> []
-       || static_cells <> [] || speculation_cells <> []
-       || component_cells <> [])
-  then
-    write_json mode !the_sweep server_cells shard_cells telemetry_cells
-      static_cells speculation_cells component_cells calibration
-      calibration_check;
+  if on Micro then micro mode;
+  (match mode.json_path with
+  | Some path
+    when Lazy.is_val sweep
+         || List.exists (fun (_, rows) -> rows <> []) tables ->
+      write_json mode path
+        (if Lazy.is_val sweep then Some (Lazy.force sweep) else None)
+        tables
+  | Some _ | None -> ());
   Format.printf "@.done.@."
+
+let () =
+  let open Cmdliner in
+  let doc = "reproduce the paper's tables and figures" in
+  exit
+    (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc) Term.(const run $ mode_term)))

@@ -1,24 +1,151 @@
 (* Command-line driver: run one benchmark under one context-sensitivity
    policy and print the run's metrics, optionally with the compilation log
-   and the baseline comparison the paper's figures are built from. *)
+   and the baseline comparison the paper's figures are built from. The
+   subcommands serve, trace, explain, profile, lint and analyze
+   programs; every one that runs a program builds its configuration from
+   the same policy option and engine-settings flags (see [config]). *)
 
 open Acsi_core
-
-let list_benchmarks () =
-  Format.printf "@[<v>Available benchmarks:@,";
-  List.iter
-    (fun (s : Acsi_workloads.Workloads.spec) ->
-      Format.printf "  %-10s %s (default scale %d)@,"
-        s.Acsi_workloads.Workloads.name s.description s.default_scale)
-    Acsi_workloads.Workloads.all;
-  Format.printf "@]%!";
-  0
+open Cmdliner
+module Policy = Acsi_policy.Policy
+module Settings = Acsi_settings.Settings
+module Workloads = Acsi_workloads.Workloads
+module Server = Acsi_server.Server
+module Shards = Acsi_server.Shards
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_buffer path buf =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Buffer.output_buffer oc buf)
+
+let find_bench name =
+  match Workloads.find name with
+  | spec -> Some spec
+  | exception Not_found ->
+      Format.eprintf "unknown benchmark %S (use --list)@." name;
+      None
+
+let build (spec : Workloads.spec) scale =
+  let scale = Option.value scale ~default:spec.Workloads.default_scale in
+  (scale, spec.Workloads.build ~scale)
+
+(* --- shared arguments --- *)
+
+(* --verbose, applied before the subcommand runs. *)
+let logs =
+  let setup verbose =
+    Logs.set_reporter (Logs_fmt.reporter ());
+    Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
+  in
+  Term.(
+    const setup
+    $ Arg.(
+        value & flag
+        & info [ "v"; "verbose" ]
+            ~doc:"Log adaptive-system events (compilations, rule rebuilds)."))
+
+(* The configuration of every subcommand that runs a program: the policy
+   plus the engine-settings table every entry point shares. *)
+let config =
+  let policy =
+    Arg.conv
+      ( (fun s ->
+          match Policy.of_string s with
+          | Some p -> Ok p
+          | None ->
+              Error
+                (`Msg
+                  (Printf.sprintf
+                     "unknown policy %S (try: cins, fixed(max=3), \
+                      paramLess(max=4), class, large, hybrid1, hybrid2, \
+                      resolve)"
+                     s))),
+        fun fmt p -> Format.pp_print_string fmt (Policy.to_string p) )
+  in
+  Term.(
+    const (fun policy settings ->
+        Settings.apply settings (Config.default ~policy))
+    $ Arg.(
+        value
+        & opt policy (Policy.Fixed 3)
+        & info [ "p"; "policy" ]
+            ~doc:
+              "Context-sensitivity policy: cins, fixed, paramLess, class, \
+               large, hybrid1, hybrid2, resolve; optionally with (max=N).")
+    $ Settings.term)
+
+let policy_name (cfg : Config.t) =
+  Policy.to_string cfg.Config.aos.Acsi_aos.System.policy
+
+let with_obs (cfg : Config.t) obs =
+  { cfg with Config.aos = { cfg.Config.aos with Acsi_aos.System.obs } }
+
+let scale_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "s"; "scale" ] ~doc:"Workload scale (default per benchmark).")
+
+let jobs_arg names doc = Arg.(value & opt Settings.positive 1 & info names ~doc)
+
+(* The program a subcommand runs: a textual mini-language file when
+   given, a named built-in benchmark otherwise. *)
+type target = { bench : string; file : string option; scale : int option }
+
+let target =
+  Term.(
+    const (fun bench file scale -> { bench; file; scale })
+    $ Arg.(
+        value & opt string "db" & info [ "b"; "bench" ] ~doc:"Benchmark name.")
+    $ Arg.(
+        value
+        & opt (some file) None
+        & info [ "f"; "file" ]
+            ~doc:
+              "Run a textual mini-language program (.acsi) instead of a \
+               named benchmark.")
+    $ scale_arg)
+
+(* The program with a human-readable label, or the exit code. *)
+let load t =
+  match t.file with
+  | Some path -> (
+      match Acsi_lang.Parser.compile (read_file path) with
+      | exception Acsi_bytecode.Verify.Error msg ->
+          Format.eprintf "%s@." msg;
+          Error 1
+      | program -> Ok (path, program))
+  | None -> (
+      match find_bench t.bench with
+      | None -> Error 2
+      | Some spec ->
+          let scale, program = build spec t.scale in
+          Ok (Printf.sprintf "%s at scale %d" t.bench scale, program))
+
+(* "Cls.name" display names for trace/explain output. *)
+let qualified_name program mid =
+  let m = Acsi_bytecode.Program.meth program mid in
+  let c = Acsi_bytecode.Program.clazz program m.Acsi_bytecode.Meth.owner in
+  c.Acsi_bytecode.Clazz.name ^ "." ^ m.Acsi_bytecode.Meth.name
+
+(* --- the default command: one run --- *)
+
+let list_benchmarks () =
+  Format.printf "@[<v>Available benchmarks:@,";
+  List.iter
+    (fun (s : Workloads.spec) ->
+      Format.printf "  %-10s %s (default scale %d)@," s.Workloads.name
+        s.description s.default_scale)
+    Workloads.all;
+  Format.printf "@]%!";
+  0
 
 (* Print the installed code of every method whose (unmangled) name
    contains [pattern]: the post-run view of what the JIT produced. *)
@@ -55,112 +182,33 @@ let verify_program program =
       Format.eprintf "%s@." (Acsi_analysis.Diag.to_string d);
       false
 
-(* --native-tier / --no-native-tier: [None] keeps the config default
-   (tier on). Purely a host-speed knob — metrics and output are
-   bit-identical either way, which `--no-native-tier` exists to check. *)
-let apply_tier tier (cfg : Config.t) =
-  match tier with
-  | None -> cfg
-  | Some b ->
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with Acsi_aos.System.native_tier = b };
-      }
-
-(* --static-seed: turn on the static pre-warm oracle (summary-driven
-   inlining at method install time, before any sample). Default off —
-   the purely reactive system all goldens are pinned to. *)
-let apply_seed seed (cfg : Config.t) =
-  if not seed then cfg
+let run_one () list_only target cfg compare_baseline show_compilations disasm
+    jobs verify =
+  if list_only then list_benchmarks ()
   else
-    {
-      cfg with
-      Config.aos = { cfg.Config.aos with Acsi_aos.System.static_seed = true };
-    }
-
-(* --speculate: guard-free speculative inlining with deoptimization.
-   Implies --enable-osr semantics: on-stack transfers both ways, so
-   recompiles activate immediately and reverted methods drain their
-   stale frames. *)
-let apply_speculate spec (cfg : Config.t) =
-  if not spec then cfg
-  else
-    {
-      cfg with
-      Config.aos =
-        {
-          cfg.Config.aos with
-          Acsi_aos.System.speculate = true;
-          enable_osr = true;
-        };
-    }
-
-let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
-    ~show_compilations ~disasm ~jobs ~verify ~tier ~static_seed ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf
-        "unknown policy %S (try: cins, fixed(max=3), paramLess(max=4), \
-         class, large, hybrid1, hybrid2, resolve)@."
-        policy_str;
-      2
-  | Some policy -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          2
-      | spec ->
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          match
-            match file with
-            | Some path -> Acsi_lang.Parser.compile (read_file path)
-            | None -> spec.Acsi_workloads.Workloads.build ~scale
-          with
-          | exception Acsi_bytecode.Verify.Error msg ->
-              Format.eprintf "%s@." msg;
-              1
-          | program ->
-          (* Typed verification before execution: on by default for the
-             textual-language pipeline, opt-in for built-in benchmarks. *)
-          let verify_on =
-            match verify with Some b -> b | None -> Option.is_some file
-          in
-          if verify_on && not (verify_program program) then 1
-          else
+    match load target with
+    | Error code -> code
+    | Ok (label, program) ->
+        (* Typed verification before execution: on by default for the
+           textual-language pipeline, opt-in for built-in benchmarks. *)
+        let verify_on =
+          Option.value verify ~default:(Option.is_some target.file)
+        in
+        if verify_on && not (verify_program program) then 1
+        else
           (* With --jobs > 1 the baseline of --compare runs on a second
              domain concurrently with the measured run; both runs are
              deterministic, so the printed numbers do not depend on it. *)
-          let result, baseline_result =
-            if compare_baseline && jobs > 1 then
-              match
-                Parallel.map ~jobs
-                  (fun policy ->
-                    Runtime.run
-                      (apply_speculate speculate
-                         (apply_seed static_seed
-                            (apply_tier tier (Config.default ~policy))))
-                      program)
-                  [ policy; Acsi_policy.Policy.Context_insensitive ]
-              with
-              | [ r; b ] -> (r, Some b)
-              | _ -> assert false
-            else
-              ( Runtime.run
-                  (apply_speculate speculate
-                     (apply_seed static_seed
-                        (apply_tier tier (Config.default ~policy))))
-                  program,
-                None )
+          let runs =
+            Parallel.map ~jobs
+              (fun cfg -> Runtime.run cfg program)
+              (cfg
+              :: (if compare_baseline then
+                    [ Config.with_policy cfg Policy.Context_insensitive ]
+                  else []))
           in
-          (match file with
-          | Some path -> Format.printf "%s:@.%a@." path Metrics.pp result.Runtime.metrics
-          | None ->
-              Format.printf "%s at scale %d:@.%a@." bench scale Metrics.pp
-                result.Runtime.metrics);
+          let result = List.hd runs in
+          Format.printf "%s:@.%a@." label Metrics.pp result.Runtime.metrics;
           if show_compilations then begin
             Format.printf "@.Compilation log:@.";
             List.iter
@@ -177,559 +225,376 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
                   e.Acsi_aos.Db.ce_guards)
               (Acsi_aos.Db.compilations (Acsi_aos.System.db result.Runtime.sys))
           end;
-          (match disasm with
-          | Some pattern -> disassemble program result.Runtime.vm pattern
-          | None -> ());
-          (if compare_baseline then
-             let base =
-               match baseline_result with
-               | Some base -> base
-               | None ->
-                   Runtime.run
-                     (apply_speculate speculate
-                        (apply_seed static_seed
-                           (apply_tier tier
-                              (Config.default
-                                 ~policy:Acsi_policy.Policy.Context_insensitive))))
-                     program
-             in
-             let bm = base.Runtime.metrics in
-             let m = result.Runtime.metrics in
-             Format.printf
-               "@.vs context-insensitive baseline:@.  speedup %+.2f%%  code \
-                size %+.2f%%  compile time %+.2f%%@."
-               (Metrics.speedup_pct ~baseline:bm m)
-               (Metrics.code_size_change_pct ~baseline:bm m)
-               (Metrics.compile_time_change_pct ~baseline:bm m));
-          0)
+          Option.iter (disassemble program result.Runtime.vm) disasm;
+          (match runs with
+          | [ _; base ] ->
+              let bm = base.Runtime.metrics and m = result.Runtime.metrics in
+              Format.printf
+                "@.vs context-insensitive baseline:@.  speedup %+.2f%%  code \
+                 size %+.2f%%  compile time %+.2f%%@."
+                (Metrics.speedup_pct ~baseline:bm m)
+                (Metrics.code_size_change_pct ~baseline:bm m)
+                (Metrics.compile_time_change_pct ~baseline:bm m)
+          | _ -> ());
+          0
 
-open Cmdliner
-
-let bench_arg =
-  Arg.(value & opt string "db" & info [ "b"; "bench" ] ~doc:"Benchmark name.")
-
-let policy_arg =
-  Arg.(
-    value
-    & opt string "fixed(max=3)"
-    & info [ "p"; "policy" ]
-        ~doc:
-          "Context-sensitivity policy: cins, fixed, paramLess, class, large, \
-           hybrid1, hybrid2, resolve; optionally with (max=N).")
-
-let scale_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "s"; "scale" ] ~doc:"Workload scale (default per benchmark).")
-
-let list_arg =
-  Arg.(value & flag & info [ "list" ] ~doc:"List benchmarks and exit.")
-
-let compare_arg =
-  Arg.(
-    value & flag
-    & info [ "compare" ]
-        ~doc:"Also run the context-insensitive baseline and print deltas.")
-
-let compilations_arg =
-  Arg.(
-    value & flag
-    & info [ "compilations" ] ~doc:"Print the optimizing-compilation log.")
-
-let disasm_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "disasm" ]
-        ~doc:
-          "After the run, disassemble the installed code of methods whose \
-           name contains the given substring.")
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ]
-        ~doc:"Log adaptive-system events (compilations, rule rebuilds).")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Domains to use; with --compare, 2+ runs the baseline \
-           concurrently with the measured run.")
-
-let file_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "f"; "file" ]
-        ~doc:
-          "Run a textual mini-language program (.acsi) instead of a named \
-           benchmark.")
-
-let verify_flag =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "verify" ]
-              ~doc:
-                "Run structural and typed verification over the whole \
-                 program before executing (default for --file)." );
-          ( Some false,
-            info [ "no-verify" ] ~doc:"Skip pre-run typed verification." );
-        ])
-
-let tier_flag =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "native-tier" ]
-              ~doc:
-                "Execute optimized methods on the closure-compiled second \
-                 tier (the default)." );
-          ( Some false,
-            info [ "no-native-tier" ]
-              ~doc:
-                "Interpreter tier only; metrics and output are identical, \
-                 only host time changes." );
-        ])
-
-let static_seed_arg =
-  Arg.(
-    value & flag
-    & info [ "static-seed" ]
-        ~doc:
-          "Enable the static pre-warm oracle: interprocedural summaries \
-           computed at class-load time drive inlining at method install, \
-           before any profile sample exists (provenance records these \
-           under the static source).")
-
-let speculate_arg =
-  Arg.(
-    value & flag
-    & info [ "speculate" ]
-        ~doc:
-          "Enable guard-free speculative inlining: virtual sites \
-           monomorphic over the loaded class universe whose receiver \
-           pre-exists the activation are inlined with no guard; a class \
-           load that breaks the recorded assumption (or a guard storm) \
-           deoptimizes the method through its frame-state table. Implies \
-           on-stack replacement in both directions.")
-
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
-let main list_only verbose bench file policy scale compare_baseline
-    show_compilations disasm jobs verify tier static_seed speculate =
-  setup_logs verbose;
-  if list_only then list_benchmarks ()
-  else
-    run_one ~bench ~file ~policy_str:policy ~scale ~compare_baseline
-      ~show_compilations ~disasm ~jobs ~verify ~tier ~static_seed ~speculate
+let run_term =
+  Term.(
+    const run_one $ logs
+    $ Arg.(value & flag & info [ "list" ] ~doc:"List benchmarks and exit.")
+    $ target $ config
+    $ Arg.(
+        value & flag
+        & info [ "compare" ]
+            ~doc:"Also run the context-insensitive baseline and print deltas.")
+    $ Arg.(
+        value & flag
+        & info [ "compilations" ] ~doc:"Print the optimizing-compilation log.")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "disasm" ]
+            ~doc:
+              "After the run, disassemble the installed code of methods whose \
+               name contains the given substring.")
+    $ jobs_arg [ "j"; "jobs" ]
+        "Domains to use; with --compare, 2+ runs the baseline concurrently \
+         with the measured run."
+    $ Arg.(
+        value
+        & vflag None
+            [
+              ( Some true,
+                info [ "verify" ]
+                  ~doc:
+                    "Run structural and typed verification over the whole \
+                     program before executing (default for --file)." );
+              ( Some false,
+                info [ "no-verify" ] ~doc:"Skip pre-run typed verification." );
+            ]))
 
 (* --- trace / explain: the observability subcommands (lib/obs) --- *)
-
-(* Load the program a subcommand should run: a textual mini-language
-   file when given, a named built-in benchmark otherwise. Returns a
-   human-readable label along with the program. *)
-let load_program ~bench ~file ~scale =
-  match file with
-  | Some path -> (
-      match Acsi_lang.Parser.compile (read_file path) with
-      | exception Acsi_bytecode.Verify.Error msg ->
-          Format.eprintf "%s@." msg;
-          Error 1
-      | program -> Ok (path, program))
-  | None -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          Error 2
-      | spec ->
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          Ok
-            ( Printf.sprintf "%s at scale %d" bench scale,
-              spec.Acsi_workloads.Workloads.build ~scale ))
-
-(* "Cls.name" display names for trace/explain output. *)
-let qualified_name program mid =
-  let m = Acsi_bytecode.Program.meth program mid in
-  let c = Acsi_bytecode.Program.clazz program m.Acsi_bytecode.Meth.owner in
-  c.Acsi_bytecode.Clazz.name ^ "." ^ m.Acsi_bytecode.Meth.name
-
-let run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program =
-  let cfg =
-    apply_speculate speculate
-      (apply_seed static_seed (apply_tier tier (Config.default ~policy)))
-  in
-  Runtime.run
-    { cfg with Config.aos = { cfg.Config.aos with Acsi_aos.System.obs } }
-    program
-
-let write_buffer path buf =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
 
 (* `acsi-run trace`: run one workload with the structured tracer (and the
    CCT profiler) enabled, write a Perfetto-loadable Chrome trace-event
    file, and print the Figure-6-style per-component breakdown with its
    reconciliation check: with no ring drops, every AOS component's summed
    span durations must equal its Accounting total exactly. *)
-let trace_one ~bench ~file ~policy_str ~scale ~out ~jsonl ~flame ~min_pct
-    ~capacity ~probe_on_clock ~tier ~static_seed ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
-      | Error code -> code
-      | Ok (label, program) ->
-          let obs =
-            {
-              Acsi_obs.Control.trace = true;
-              provenance = true;
-              cprof = true;
-              capacity;
-              probe_on_clock;
-            }
-          in
-          (* Reset the process-global tier-cache counters so the line
-             below reports exactly this run's traffic (deterministic:
-             one VM, no concurrent sweeps in this process). *)
-          Metrics.reset_tier_cache_stats ();
-          let result =
-            run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program
-          in
-          let sys = result.Runtime.sys in
-          let m = result.Runtime.metrics in
-          let tracer = Acsi_aos.System.tracer sys in
-          let buf = Buffer.create 65536 in
-          Acsi_obs.Export.to_chrome_json buf tracer;
-          write_buffer out buf;
-          (match jsonl with
-          | None -> ()
-          | Some path ->
-              Buffer.clear buf;
-              Acsi_obs.Export.to_jsonl buf tracer;
-              write_buffer path buf);
-          Format.printf "%s under %s:@." label
-            (Acsi_policy.Policy.to_string policy);
-          let totals = Acsi_obs.Export.track_totals tracer in
-          Format.printf "@.%a@."
-            (Acsi_obs.Export.pp_breakdown ~total:m.Metrics.total_cycles)
-            totals;
-          let inlined, refused =
-            match Acsi_aos.System.provenance sys with
-            | Some prov -> Acsi_obs.Provenance.outcome_counts prov
-            | None -> (0, 0)
-          in
-          let dropped = Acsi_obs.Tracer.dropped tracer in
-          Format.printf
-            "@.%d events recorded (%d dropped), %d inline decisions (%d \
-             inlined, %d refused)@."
-            (Acsi_obs.Tracer.length tracer)
-            dropped (inlined + refused) inlined refused;
-          let cs = Metrics.tier_cache_stats () in
-          Format.printf
-            "tier cache: %d hits, %d misses, %d evictions (shared \
-             baseline-compile MRU)@."
-            cs.Metrics.hits cs.Metrics.misses cs.Metrics.evictions;
-          (* On-stack transfer traffic; only under --speculate (or OSR)
-             is there anything to say. *)
-          if m.Metrics.osr_count > 0 then
-            Format.printf
-              "osr: %d up / %d down (deopt: %d guard-storm, %d \
-               CHA-invalidated; %d speculative installs)@."
-              m.Metrics.osr_up m.Metrics.osr_down m.Metrics.deopt_guard
-              m.Metrics.deopt_invalidate
-              (Acsi_aos.System.speculative_installs sys);
-          (* The reconciliation contract (see Acsi_obs.Tracer): only
-             checkable when the ring kept every event. *)
-          let mismatches =
-            List.filter_map
-              (fun c ->
-                let nm = Acsi_aos.Accounting.component_name c in
-                let acct_v =
-                  Acsi_aos.Accounting.get (Acsi_aos.System.accounting sys) c
-                in
-                let span_v =
-                  match List.assoc_opt nm totals with Some v -> v | None -> 0
-                in
-                if acct_v <> span_v then Some (nm, acct_v, span_v) else None)
-              Acsi_aos.Accounting.all_components
-          in
-          (if dropped > 0 then
-             (* A wrapped ring silently undercounts spans, which could
-                mask a genuine span-vs-Accounting divergence — so drops
-                fail the check rather than skipping it. *)
+let trace_one () target cfg out jsonl flame min_pct capacity probe_on_clock =
+  match load target with
+  | Error code -> code
+  | Ok (label, program) ->
+      let obs =
+        {
+          Acsi_obs.Control.trace = true;
+          provenance = true;
+          cprof = true;
+          capacity;
+          probe_on_clock;
+        }
+      in
+      (* Reset the process-global tier-cache counters so the line below
+         reports exactly this run's traffic (deterministic: one VM, no
+         concurrent sweeps in this process). *)
+      Metrics.reset_tier_cache_stats ();
+      let result = Runtime.run (with_obs cfg obs) program in
+      let sys = result.Runtime.sys in
+      let m = result.Runtime.metrics in
+      let tracer = Acsi_aos.System.tracer sys in
+      let buf = Buffer.create 65536 in
+      Acsi_obs.Export.to_chrome_json buf tracer;
+      write_buffer out buf;
+      (match jsonl with
+      | None -> ()
+      | Some path ->
+          Buffer.clear buf;
+          Acsi_obs.Export.to_jsonl buf tracer;
+          write_buffer path buf);
+      Format.printf "%s under %s:@." label (policy_name cfg);
+      let totals = Acsi_obs.Export.track_totals tracer in
+      Format.printf "@.%a@."
+        (Acsi_obs.Export.pp_breakdown ~total:m.Metrics.total_cycles)
+        totals;
+      let inlined, refused =
+        match Acsi_aos.System.provenance sys with
+        | Some prov -> Acsi_obs.Provenance.outcome_counts prov
+        | None -> (0, 0)
+      in
+      let dropped = Acsi_obs.Tracer.dropped tracer in
+      Format.printf
+        "@.%d events recorded (%d dropped), %d inline decisions (%d inlined, \
+         %d refused)@."
+        (Acsi_obs.Tracer.length tracer)
+        dropped (inlined + refused) inlined refused;
+      let cs = Metrics.tier_cache_stats () in
+      Format.printf
+        "tier cache: %d hits, %d misses, %d evictions (shared \
+         baseline-compile MRU)@."
+        cs.Metrics.hits cs.Metrics.misses cs.Metrics.evictions;
+      (* On-stack transfer traffic; only under --speculate (or OSR) is
+         there anything to say. *)
+      if m.Metrics.osr_count > 0 then
+        Format.printf
+          "osr: %d up / %d down (deopt: %d guard-storm, %d CHA-invalidated; \
+           %d speculative installs)@."
+          m.Metrics.osr_up m.Metrics.osr_down m.Metrics.deopt_guard
+          m.Metrics.deopt_invalidate
+          (Acsi_aos.System.speculative_installs sys);
+      (* The reconciliation contract (see Acsi_obs.Tracer): only checkable
+         when the ring kept every event. *)
+      let mismatches =
+        List.filter_map
+          (fun c ->
+            let nm = Acsi_aos.Accounting.component_name c in
+            let acct_v =
+              Acsi_aos.Accounting.get (Acsi_aos.System.accounting sys) c
+            in
+            let span_v =
+              match List.assoc_opt nm totals with Some v -> v | None -> 0
+            in
+            if acct_v <> span_v then Some (nm, acct_v, span_v) else None)
+          Acsi_aos.Accounting.all_components
+      in
+      (if dropped > 0 then
+         (* A wrapped ring silently undercounts spans, which could mask a
+            genuine span-vs-Accounting divergence — so drops fail the
+            check rather than skipping it. *)
+         Format.printf
+           "reconciliation: FAILED — %d events dropped, span totals \
+            undercount (raise --capacity)@."
+           dropped
+       else if mismatches = [] then
+         Format.printf
+           "reconciliation: OK — every component's span total equals its \
+            accounting total@."
+       else
+         List.iter
+           (fun (nm, acct_v, span_v) ->
              Format.printf
-               "reconciliation: FAILED — %d events dropped, span totals \
-                undercount (raise --capacity)@."
-               dropped
-           else if mismatches = [] then
-             Format.printf
-               "reconciliation: OK — every component's span total equals its \
-                accounting total@."
-           else
-             List.iter
-               (fun (nm, acct_v, span_v) ->
-                 Format.printf
-                   "reconciliation MISMATCH: %s accounting=%d spans=%d@." nm
-                   acct_v span_v)
-               mismatches);
-          (if flame then
-             match Acsi_aos.System.cprof sys with
-             | Some cp ->
-                 Format.printf "@.%a@."
-                   (Acsi_obs.Cprof.pp_flame
-                      ~name:(qualified_name program)
-                      ~min_pct)
-                   cp
-             | None -> ());
-          Format.printf "trace written to %s@." out;
-          if mismatches <> [] || dropped > 0 then 1 else 0)
+               "reconciliation MISMATCH: %s accounting=%d spans=%d@." nm acct_v
+               span_v)
+           mismatches);
+      (if flame then
+         match Acsi_aos.System.cprof sys with
+         | Some cp ->
+             Format.printf "@.%a@."
+               (Acsi_obs.Cprof.pp_flame ~name:(qualified_name program) ~min_pct)
+               cp
+         | None -> ());
+      Format.printf "trace written to %s@." out;
+      if mismatches <> [] || dropped > 0 then 1 else 0
+
+(* The decisions an explain query selects: every decision, or those at
+   call sites in the named method (unqualified or "Cls.name", with or
+   without the arity suffix), optionally at one pc. *)
+let select_decisions program prov query =
+  match query with
+  | None -> Ok (Acsi_obs.Provenance.all prov)
+  | Some q -> (
+      let meth_str, pc =
+        match String.index_opt q ':' with
+        | None -> (q, Ok None)
+        | Some i -> (
+            let pc_str = String.sub q (i + 1) (String.length q - i - 1) in
+            ( String.sub q 0 i,
+              match int_of_string_opt pc_str with
+              | Some pc when pc >= 0 -> Ok (Some pc)
+              | Some _ | None -> Error pc_str ))
+      in
+      let unmangled s =
+        match String.index_opt s '/' with Some i -> String.sub s 0 i | None -> s
+      in
+      let callers =
+        List.filter_map
+          (fun (m : Acsi_bytecode.Meth.t) ->
+            let mid = m.Acsi_bytecode.Meth.id in
+            let qualified = qualified_name program mid in
+            let name = m.Acsi_bytecode.Meth.name in
+            if
+              List.mem meth_str
+                [ name; unmangled name; qualified; unmangled qualified ]
+            then Some mid
+            else None)
+          (Array.to_list (Acsi_bytecode.Program.methods program))
+      in
+      match (pc, callers) with
+      | Error pc_str, _ ->
+          Format.eprintf "invalid pc %S in query %S@." pc_str q;
+          Error 2
+      | Ok _, [] ->
+          Format.eprintf
+            "no method named %S (try a \"Cls.name\" qualified name)@." meth_str;
+          Error 2
+      | Ok pc, callers ->
+          Ok
+            (List.concat_map
+               (fun caller ->
+                 Acsi_obs.Provenance.at prov ~caller ?callsite:pc ())
+               callers))
 
 (* `acsi-run explain [METHOD[:PC]]`: run with the oracle's decision-
    provenance sink installed and print every recorded inline decision —
-   optionally restricted to call sites in one method (matched by
-   unqualified or "Cls.name" qualified name), or to one call-site pc. *)
-let explain_one ~bench ~file ~policy_str ~scale ~query ~tier ~static_seed
-    ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
+   optionally restricted to call sites in one method, or to one call-site
+   pc. *)
+let explain_one () target cfg query =
+  match load target with
+  | Error code -> code
+  | Ok (label, program) -> (
+      let obs =
+        { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
+      in
+      let result = Runtime.run (with_obs cfg obs) program in
+      let prov = Option.get (Acsi_aos.System.provenance result.Runtime.sys) in
+      let name = qualified_name program in
+      match select_decisions program prov query with
       | Error code -> code
-      | Ok (label, program) -> (
-          let obs =
-            { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
+      | Ok decisions ->
+          let decisions =
+            List.sort
+              (fun (a : Acsi_obs.Provenance.decision) b ->
+                compare a.Acsi_obs.Provenance.d_seq b.Acsi_obs.Provenance.d_seq)
+              decisions
           in
-          let result =
-            run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program
+          let inlined, refused = Acsi_obs.Provenance.outcome_counts prov in
+          Format.printf "%s under %s:@.@." label (policy_name cfg);
+          if decisions = [] then
+            Format.printf "no recorded inline decisions match@."
+          else
+            List.iter
+              (Format.printf "%a@." (Acsi_obs.Provenance.pp_decision ~name))
+              decisions;
+          Format.printf "@.%d decisions shown of %d recorded (%d inlined, %d \
+                         refused)@."
+            (List.length decisions)
+            (Acsi_obs.Provenance.count prov)
+            inlined refused;
+          let sampled, static, speculative =
+            Acsi_obs.Provenance.source_counts prov
           in
-          let sys = result.Runtime.sys in
-          match Acsi_aos.System.provenance sys with
-          | None ->
-              Format.eprintf "internal error: provenance store missing@.";
-              1
-          | Some prov -> (
-              let name = qualified_name program in
-              let selected =
-                match query with
-                | None -> Ok (Acsi_obs.Provenance.all prov)
-                | Some q -> (
-                    let meth_str, pc =
-                      match String.index_opt q ':' with
-                      | None -> (q, Ok None)
-                      | Some i ->
-                          let pc_str =
-                            String.sub q (i + 1) (String.length q - i - 1)
-                          in
-                          ( String.sub q 0 i,
-                            match int_of_string_opt pc_str with
-                            | Some pc when pc >= 0 -> Ok (Some pc)
-                            | Some _ | None -> Error pc_str )
-                    in
-                    match pc with
-                    | Error pc_str ->
-                        Format.eprintf "invalid pc %S in query %S@." pc_str q;
-                        Error 2
-                    | Ok pc -> (
-                        (* Method names carry an arity suffix ("get/1");
-                           accept queries with or without it, qualified
-                           by class or not. *)
-                        let unmangled s =
-                          match String.index_opt s '/' with
-                          | Some i -> String.sub s 0 i
-                          | None -> s
-                        in
-                        let callers =
-                          Array.to_list
-                            (Acsi_bytecode.Program.methods program)
-                          |> List.filter_map
-                               (fun (m : Acsi_bytecode.Meth.t) ->
-                                 let mid = m.Acsi_bytecode.Meth.id in
-                                 let forms =
-                                   [
-                                     m.Acsi_bytecode.Meth.name;
-                                     unmangled m.Acsi_bytecode.Meth.name;
-                                     name mid;
-                                     unmangled (name mid);
-                                   ]
-                                 in
-                                 if List.exists (String.equal meth_str) forms
-                                 then Some mid
-                                 else None)
-                        in
-                        match callers with
-                        | [] ->
-                            Format.eprintf
-                              "no method named %S (try a \"Cls.name\" \
-                               qualified name)@."
-                              meth_str;
-                            Error 2
-                        | callers ->
-                            Ok
-                              (List.concat_map
-                                 (fun caller ->
-                                   Acsi_obs.Provenance.at prov ~caller
-                                     ?callsite:pc ())
-                                 callers)))
-              in
-              match selected with
-              | Error code -> code
-              | Ok decisions ->
-                  let decisions =
-                    List.sort
-                      (fun (a : Acsi_obs.Provenance.decision) b ->
-                        compare a.Acsi_obs.Provenance.d_seq
-                          b.Acsi_obs.Provenance.d_seq)
-                      decisions
-                  in
-                  let total = Acsi_obs.Provenance.count prov in
-                  let inlined, refused =
-                    Acsi_obs.Provenance.outcome_counts prov
-                  in
-                  Format.printf "%s under %s:@.@." label
-                    (Acsi_policy.Policy.to_string policy);
-                  if decisions = [] then
-                    Format.printf "no recorded inline decisions match@."
-                  else
-                    List.iter
-                      (fun d ->
-                        Format.printf "%a@."
-                          (Acsi_obs.Provenance.pp_decision ~name)
-                          d)
-                      decisions;
-                  Format.printf
-                    "@.%d decisions shown of %d recorded (%d inlined, %d \
-                     refused)@."
-                    (List.length decisions) total inlined refused;
-                  (let sampled, static, speculative =
-                     Acsi_obs.Provenance.source_counts prov
-                   in
-                   if static > 0 then
-                     Format.printf
-                       "%d decided by the static oracle (before any sample), \
-                        %d sample-driven@."
-                       static sampled;
-                   if speculative > 0 then
-                     Format.printf
-                       "%d decided speculatively (guard-free, loaded-CHA + \
-                        pre-existence)@."
-                       speculative);
-                  (* The orthogonal decision axis: what happened when each
-                     installed optimized method was promoted to (or kept
-                     off) the closure execution tier. Only shown for
-                     whole-program queries — tier decisions are
-                     per-method, not per-call-site. *)
-                  (if query = None && Acsi_obs.Provenance.tier_count prov > 0
-                   then begin
-                     Format.printf "@.Execution-tier decisions:@.";
-                     List.iter
-                       (fun td ->
-                         Format.printf "%a@."
-                           (Acsi_obs.Provenance.pp_tier_decision ~name)
-                           td)
-                       (Acsi_obs.Provenance.tier_all prov);
-                     let compiled, rejected, fell_back =
-                       Acsi_obs.Provenance.tier_outcome_counts prov
-                     in
-                     Format.printf
-                       "%d tier decisions (%d compiled, %d rejected, %d fell \
-                        back)@."
-                       (Acsi_obs.Provenance.tier_count prov)
-                       compiled rejected fell_back
-                   end);
-                  0)))
+          if static > 0 then
+            Format.printf
+              "%d decided by the static oracle (before any sample), %d \
+               sample-driven@."
+              static sampled;
+          if speculative > 0 then
+            Format.printf
+              "%d decided speculatively (guard-free, loaded-CHA + \
+               pre-existence)@."
+              speculative;
+          (* The orthogonal decision axis: what happened when each
+             installed optimized method was promoted to (or kept off) the
+             closure execution tier. Only shown for whole-program queries —
+             tier decisions are per-method, not per-call-site. *)
+          if query = None && Acsi_obs.Provenance.tier_count prov > 0 then begin
+            Format.printf "@.Execution-tier decisions:@.";
+            List.iter
+              (Format.printf "%a@."
+                 (Acsi_obs.Provenance.pp_tier_decision ~name))
+              (Acsi_obs.Provenance.tier_all prov);
+            let compiled, rejected, fell_back =
+              Acsi_obs.Provenance.tier_outcome_counts prov
+            in
+            Format.printf
+              "%d tier decisions (%d compiled, %d rejected, %d fell back)@."
+              (Acsi_obs.Provenance.tier_count prov)
+              compiled rejected fell_back
+          end;
+          0)
+
+(* `acsi-run profile`: deterministic DCG persistence. --dump writes the
+   run's final dynamic call graph in the textual {!Acsi_profile.Persist}
+   format; --load seeds a run from a previously dumped profile,
+   reproducing the offline profile-directed setups the paper contrasts
+   itself with (§6). Profiles are program-specific (dense method ids),
+   so dump and load must name the same benchmark and scale. *)
+let profile_one () target cfg dump load_path =
+  match load target with
+  | Error code -> code
+  | Ok (label, program) -> (
+      match
+        match load_path with
+        | None -> Ok None
+        | Some path -> (
+            try Ok (Some (Acsi_profile.Persist.load path)) with
+            | Acsi_profile.Persist.Malformed msg ->
+                Error (Printf.sprintf "%s: malformed profile: %s" path msg)
+            | Sys_error msg -> Error msg)
+      with
+      | Error msg ->
+          Format.eprintf "%s@." msg;
+          1
+      | Ok profile ->
+          let result = Runtime.run ?profile cfg program in
+          Format.printf "%s under %s:@.%a@." label (policy_name cfg) Metrics.pp
+            result.Runtime.metrics;
+          Option.iter (Format.printf "profile seeded from %s@.") load_path;
+          Option.iter
+            (fun path ->
+              let dcg = Acsi_aos.System.dcg result.Runtime.sys in
+              Acsi_profile.Persist.save path dcg;
+              Format.printf "profile (%d traces) written to %s@."
+                (Acsi_profile.Dcg.size dcg) path)
+            dump;
+          0)
+
+(* --- lint / analyze: static passes over whole programs --- *)
+
+(* The given .acsi files, or every built-in workload when none is given,
+   as (label, build) pairs. *)
+let programs files =
+  match files with
+  | [] ->
+      List.map
+        (fun (s : Workloads.spec) ->
+          (s.Workloads.name, fun () -> s.build ~scale:s.default_scale))
+        Workloads.all
+  | files ->
+      List.map
+        (fun path ->
+          (path, fun () -> Acsi_lang.Parser.compile (read_file path)))
+        files
 
 (* `acsi-run lint [FILES]`: typed verification plus dead-code and
-   unused-local lints over the given .acsi programs, or over every
-   built-in workload when no file is given. *)
+   unused-local lints. *)
 let lint_targets files =
   let findings = ref 0 and targets = ref 0 and notes = ref 0 in
-  let lint_one label program =
-    incr targets;
-    let diags = Acsi_analysis.Lint.program program in
-    List.iter
-      (fun d ->
-        incr findings;
-        Format.printf "%s: %s@." label (Acsi_analysis.Diag.to_string d))
-      diags;
-    (* Summary-backed advisory notes: printed, never fatal — a
-       monomorphic dispatch or a discarded pure result is legitimate
-       code, just provably dead weight. *)
-    List.iter
-      (fun d ->
-        incr notes;
-        Format.printf "%s: note: %s@." label (Acsi_analysis.Diag.to_string d))
-      (Acsi_analysis.Lint.program_notes program)
-  in
   let ok = ref true in
-  (match files with
-  | [] ->
-      List.iter
-        (fun (s : Acsi_workloads.Workloads.spec) ->
-          lint_one s.Acsi_workloads.Workloads.name
-            (s.Acsi_workloads.Workloads.build
-               ~scale:s.Acsi_workloads.Workloads.default_scale))
-        Acsi_workloads.Workloads.all
-  | files ->
-      List.iter
-        (fun path ->
-          match Acsi_lang.Parser.compile (read_file path) with
-          | exception Acsi_bytecode.Verify.Error msg ->
-              ok := false;
-              Format.printf "%s: %s@." path msg
-          | program -> lint_one path program)
-        files);
+  List.iter
+    (fun (label, build) ->
+      match build () with
+      | exception Acsi_bytecode.Verify.Error msg ->
+          ok := false;
+          Format.printf "%s: %s@." label msg
+      | program ->
+          incr targets;
+          List.iter
+            (fun d ->
+              incr findings;
+              Format.printf "%s: %s@." label (Acsi_analysis.Diag.to_string d))
+            (Acsi_analysis.Lint.program program);
+          (* Summary-backed advisory notes: printed, never fatal — a
+             monomorphic dispatch or a discarded pure result is legitimate
+             code, just provably dead weight. *)
+          List.iter
+            (fun d ->
+              incr notes;
+              Format.printf "%s: note: %s@." label
+                (Acsi_analysis.Diag.to_string d))
+            (Acsi_analysis.Lint.program_notes program))
+    (programs files);
   if !findings = 0 && !ok then begin
     Format.printf "lint: %d target%s clean%s@." !targets
       (if !targets = 1 then "" else "s")
-      (if !notes > 0 then Printf.sprintf " (%d advisory notes)" !notes
-       else "");
+      (if !notes > 0 then Printf.sprintf " (%d advisory notes)" !notes else "");
     0
   end
   else 1
 
 (* `acsi-run analyze [FILES]`: the compositional interprocedural summary
-   pass ({!Acsi_analysis.Summary}) over the given .acsi programs, or
-   over every built-in workload when no file is given. Pure static
-   analysis — nothing executes; each table is a deterministic function
-   of its program, so --jobs changes wall time only, never output. *)
-let analyze_targets ~jobs files =
-  let targets =
-    match files with
-    | [] ->
-        List.map
-          (fun (s : Acsi_workloads.Workloads.spec) ->
-            ( s.Acsi_workloads.Workloads.name,
-              fun () ->
-                s.Acsi_workloads.Workloads.build
-                  ~scale:s.Acsi_workloads.Workloads.default_scale ))
-          Acsi_workloads.Workloads.all
-    | files ->
-        List.map
-          (fun path ->
-            (path, fun () -> Acsi_lang.Parser.compile (read_file path)))
-          files
-  in
+   pass ({!Acsi_analysis.Summary}). Pure static analysis — nothing
+   executes; each table is a deterministic function of its program, so
+   --jobs changes wall time only, never output. *)
+let analyze_targets () jobs files =
   let render (label, build) =
     match build () with
     | exception Acsi_bytecode.Verify.Error msg ->
@@ -742,264 +607,169 @@ let analyze_targets ~jobs files =
              ())
   in
   (* Tables render to strings inside the pool; printing stays on the
-     calling domain in input order, so the output is identical for
-     every --jobs value. *)
-  let rendered = Parallel.map ~jobs render targets in
-  let ok = ref true in
+     calling domain in input order, so the output is identical for every
+     --jobs value. *)
+  let rendered = Parallel.map ~jobs render (programs files) in
   List.iteri
     (fun i r ->
       match r with
       | Ok text ->
           if i > 0 then Format.printf "@.";
           Format.printf "%s%!" text
-      | Error msg ->
-          ok := false;
-          Format.eprintf "%s@." msg)
+      | Error msg -> Format.eprintf "%s@." msg)
     rendered;
-  if !ok then 0 else 1
+  if List.for_all Result.is_ok rendered then 0 else 1
+
+let files_arg verb =
+  Arg.(
+    value & pos_all file []
+    & info [] ~docv:"FILE"
+        ~doc:
+          (Printf.sprintf
+             "Mini-language programs (.acsi) to %s; every built-in workload \
+              when omitted."
+             verb))
+
+(* --- serve / metrics: server modes --- *)
+
+(* The request load of a serve cell, single-VM or sharded. *)
+type traffic = {
+  requests : int;
+  clients : int;
+  think : int;
+  open_period : int option;
+  quantum : int;
+  switch_cost : int;
+  seed : int;
+  shards : int;
+  pool : int;
+  pool_policy : Acsi_aos.System.compile_queue_policy;
+  barrier : int;
+  jobs : int;
+}
+
+let traffic ~shards_default ~shards_doc =
+  let int_opt names default doc =
+    Arg.(value & opt int default & info names ~doc)
+  in
+  let pool_policy =
+    Arg.conv
+      ( (fun s ->
+          match Acsi_aos.System.queue_policy_of_string s with
+          | Some p -> Ok p
+          | None ->
+              Error
+                (`Msg
+                  (Printf.sprintf "unknown pool policy %S (fifo|hot|deadline)"
+                     s))),
+        fun fmt p ->
+          Format.pp_print_string fmt (Acsi_aos.System.queue_policy_name p) )
+  in
+  Term.(
+    const
+      (fun requests clients think open_period quantum switch_cost seed shards
+           pool pool_policy barrier jobs ->
+        { requests; clients; think; open_period; quantum; switch_cost; seed;
+          shards; pool; pool_policy; barrier; jobs })
+    $ int_opt [ "requests" ] 8
+        "Requests per client (closed loop) or total requests (open loop)."
+    $ int_opt [ "clients" ] 4 "Concurrent clients (closed loop)."
+    $ int_opt [ "think" ] 50_000
+        "Client think time in cycles between requests (closed loop)."
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "open" ] ~docv:"PERIOD"
+            ~doc:
+              "Use an open-loop arrival schedule with the given mean \
+               inter-arrival period in cycles instead of the closed loop.")
+    $ int_opt [ "quantum" ] 25_000 "Scheduler quantum in cycles."
+    $ int_opt [ "switch-cost" ] 200 "Context-switch cost in cycles."
+    $ int_opt [ "seed" ] 1 "Seed for the open-loop arrival schedule."
+    $ int_opt [ "shards" ] shards_default shards_doc
+    $ int_opt [ "pool" ] 1
+        "Background compiler threads per shard (sharded mode)."
+    $ Arg.(
+        value
+        & opt pool_policy Acsi_aos.System.Fifo
+        & info [ "pool-policy" ]
+            ~doc:"Compiler-pool queue policy: fifo, hot or deadline.")
+    $ int_opt [ "barrier" ] 2_000_000
+        "Virtual cycles between cross-shard barriers (DCG merge, code \
+         publication, work stealing)."
+    $ jobs_arg [ "jobs" ]
+        "Host domains running shards in parallel within a round (sharded \
+         mode); never affects results.")
+
+(* Sharded serving: N virtual processors with work stealing, a
+   publish-once code cache and per-shard compiler pools. [requests] is
+   the total session count; arrivals are always open-loop (default
+   period 2400). *)
+let run_shards t ~name cfg program =
+  Shards.run ~quantum:t.quantum ~switch_cost:t.switch_cost ~seed:t.seed
+    ~jobs:t.jobs ~barrier:t.barrier ~pool:t.pool ~pool_policy:t.pool_policy
+    ~shards:t.shards ~sessions:t.requests
+    ~period:(Option.value t.open_period ~default:2400)
+    ~name cfg program
+
+let run_server t ?async_compile ?telemetry_interval ~name cfg program =
+  let mode =
+    match t.open_period with
+    | Some period -> Server.Open { period; requests = t.requests }
+    | None ->
+        Server.Closed
+          {
+            clients = t.clients;
+            requests_per_client = t.requests;
+            think = t.think;
+          }
+  in
+  Server.run ~quantum:t.quantum ~switch_cost:t.switch_cost ~seed:t.seed
+    ?async_compile ?telemetry_interval ~mode ~name cfg program
+
+(* The server modes have never run guard-free speculation with shared
+   code adoption, so --speculate is a usage error there. *)
+let serve_config =
+  Term.(
+    ret
+      (const (fun (cfg : Config.t) ->
+           if cfg.Config.aos.Acsi_aos.System.speculate then
+             `Error (true, "--speculate is not supported in server modes")
+           else `Ok cfg)
+      $ config))
 
 (* `acsi-run serve`: server-mode execution — each benchmark's requests
-   run as virtual threads over one shared VM/AOS instance, with
-   background compilation, and the summary reports throughput and
-   latency percentiles. Deterministic: identical invocations print
-   identical summaries. *)
-let serve_benches ~benches ~policy_str ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~sync_compile ~show_windows
-    ~shards ~pool ~pool_policy_str ~barrier ~jobs ~static_seed =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy when shards > 0 -> (
-      (* Sharded serving: N virtual processors with work stealing, a
-         publish-once code cache and per-shard compiler pools.
-         [--requests] is the total session count; arrivals are always
-         open-loop ([--open], default period 2400). *)
-      match Acsi_aos.System.queue_policy_of_string pool_policy_str with
-      | None ->
-          Format.eprintf "unknown pool policy %S (fifo|hot|deadline)@."
-            pool_policy_str;
-          2
-      | Some pool_policy -> (
-          let exception Unknown_bench of string in
-          let names =
-            List.filter
-              (fun s -> String.length s > 0)
-              (String.split_on_char ',' benches)
+   run as virtual threads over one shared VM/AOS instance (or, with
+   --shards, across sharded virtual processors), with background
+   compilation, and the summary reports throughput and latency
+   percentiles. Deterministic: identical invocations print identical
+   summaries. *)
+let serve () benches scale cfg t sync_compile show_windows =
+  let names = List.filter (( <> ) "") benches in
+  let specs = List.filter_map find_bench names in
+  if List.length specs < List.length names then 2
+  else begin
+    List.iteri
+      (fun i spec ->
+        let name = spec.Workloads.name and _, program = build spec scale in
+        if i > 0 then Format.printf "@.";
+        if t.shards > 0 then begin
+          let r = run_shards t ~name cfg program in
+          Format.printf "%a@." Shards.pp_summary r.Shards.summary;
+          if show_windows then
+            Format.printf "%a@." Shards.pp_shards r.Shards.shard_stats
+        end
+        else begin
+          let r =
+            run_server t ~async_compile:(not sync_compile) ~name cfg program
           in
-          match
-            List.map
-              (fun name ->
-                match Acsi_workloads.Workloads.find name with
-                | spec -> spec
-                | exception Not_found -> raise (Unknown_bench name))
-              names
-          with
-          | exception Unknown_bench name ->
-              Format.eprintf "unknown benchmark %S (use --list)@." name;
-              2
-          | specs ->
-              let first = ref true in
-              List.iter
-                (fun (spec : Acsi_workloads.Workloads.spec) ->
-                  let scale =
-                    match scale with
-                    | Some s -> s
-                    | None -> spec.Acsi_workloads.Workloads.default_scale
-                  in
-                  let program = spec.Acsi_workloads.Workloads.build ~scale in
-                  let period = Option.value open_period ~default:2400 in
-                  let result =
-                    Acsi_server.Shards.run ~quantum ~switch_cost ~seed ~jobs
-                      ~barrier ~pool ~pool_policy ~shards ~sessions:requests
-                      ~period ~name:spec.Acsi_workloads.Workloads.name
-                      (apply_seed static_seed (Config.default ~policy))
-                      program
-                  in
-                  if not !first then Format.printf "@.";
-                  first := false;
-                  Format.printf "%a@." Acsi_server.Shards.pp_summary
-                    result.Acsi_server.Shards.summary;
-                  if show_windows then
-                    Format.printf "%a@." Acsi_server.Shards.pp_shards
-                      result.Acsi_server.Shards.shard_stats)
-                specs;
-              0))
-  | Some policy -> (
-      let exception Unknown_bench of string in
-      let names =
-        List.filter
-          (fun s -> String.length s > 0)
-          (String.split_on_char ',' benches)
-      in
-      match
-        List.map
-          (fun name ->
-            match Acsi_workloads.Workloads.find name with
-            | spec -> spec
-            | exception Not_found -> raise (Unknown_bench name))
-          names
-      with
-      | exception Unknown_bench name ->
-          Format.eprintf "unknown benchmark %S (use --list)@." name;
-          2
-      | specs ->
-          let first = ref true in
-          List.iter
-            (fun (spec : Acsi_workloads.Workloads.spec) ->
-              let scale =
-                match scale with
-                | Some s -> s
-                | None -> spec.Acsi_workloads.Workloads.default_scale
-              in
-              let program = spec.Acsi_workloads.Workloads.build ~scale in
-              let mode =
-                match open_period with
-                | Some period -> Acsi_server.Server.Open { period; requests }
-                | None ->
-                    Acsi_server.Server.Closed
-                      { clients; requests_per_client = requests; think }
-              in
-              let result =
-                Acsi_server.Server.run ~quantum ~switch_cost ~seed
-                  ~async_compile:(not sync_compile) ~mode
-                  ~name:spec.Acsi_workloads.Workloads.name
-                  (apply_seed static_seed (Config.default ~policy))
-                  program
-              in
-              if not !first then Format.printf "@.";
-              first := false;
-              Format.printf "%a@." Acsi_server.Server.pp_summary
-                result.Acsi_server.Server.summary;
-              if show_windows then
-                Format.printf "%a@." Acsi_server.Server.pp_windows
-                  result.Acsi_server.Server.windows)
-            specs;
-          0)
-
-let serve_bench_arg =
-  Arg.(
-    value
-    & opt string "db,jess,compress"
-    & info [ "b"; "bench" ] ~doc:"Comma-separated benchmark names to serve.")
-
-let requests_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "requests" ]
-        ~doc:
-          "Requests per client (closed loop) or total requests (open loop).")
-
-let clients_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "clients" ] ~doc:"Concurrent clients (closed loop).")
-
-let think_arg =
-  Arg.(
-    value & opt int 50_000
-    & info [ "think" ]
-        ~doc:"Client think time in cycles between requests (closed loop).")
-
-let open_period_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "open" ] ~docv:"PERIOD"
-        ~doc:
-          "Use an open-loop arrival schedule with the given mean \
-           inter-arrival period in cycles instead of the closed loop.")
-
-let quantum_arg =
-  Arg.(
-    value & opt int 25_000
-    & info [ "quantum" ] ~doc:"Scheduler quantum in cycles.")
-
-let switch_cost_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "switch-cost" ] ~doc:"Context-switch cost in cycles.")
-
-let seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~doc:"Seed for the open-loop arrival schedule.")
-
-let sync_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "sync-compile" ]
-        ~doc:
-          "Compile synchronously at the sample that requested it instead \
-           of on the background compiler thread.")
-
-let windows_arg =
-  Arg.(
-    value & flag
-    & info [ "windows" ]
-        ~doc:
-          "Also print the per-window warmup curve (or, with --shards, the \
-           per-shard breakdown).")
-
-let shards_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "shards" ]
-        ~doc:
-          "Serve across N sharded virtual processors (per-shard run \
-           queues, deterministic work stealing, publish-once code cache). \
-           0 (default) keeps the single-VM server. With shards, \
-           --requests is the total session count and arrivals are always \
-           open-loop.")
-
-let pool_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "pool" ]
-        ~doc:"Background compiler threads per shard (sharded mode).")
-
-let pool_policy_arg =
-  Arg.(
-    value & opt string "fifo"
-    & info [ "pool-policy" ]
-        ~doc:"Compiler-pool queue policy: fifo, hot or deadline.")
-
-let barrier_arg =
-  Arg.(
-    value & opt int 2_000_000
-    & info [ "barrier" ]
-        ~doc:
-          "Virtual cycles between cross-shard barriers (DCG merge, code \
-           publication, work stealing).")
-
-let serve_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ]
-        ~doc:
-          "Host domains running shards in parallel within a round \
-           (sharded mode); never affects results.")
-
-let serve_main verbose benches policy scale requests clients think open_period
-    quantum switch_cost seed sync_compile show_windows shards pool
-    pool_policy_str barrier jobs static_seed =
-  setup_logs verbose;
-  serve_benches ~benches ~policy_str:policy ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~sync_compile ~show_windows
-    ~shards ~pool ~pool_policy_str ~barrier ~jobs ~static_seed
-
-let serve_cmd =
-  let doc =
-    "serve a deterministic request workload over one shared VM and \
-     adaptive system, reporting throughput and latency percentiles"
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const serve_main $ verbose_arg $ serve_bench_arg $ policy_arg
-      $ scale_arg $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-      $ quantum_arg $ switch_cost_arg $ seed_arg $ sync_compile_arg
-      $ windows_arg $ shards_arg $ pool_arg $ pool_policy_arg $ barrier_arg
-      $ serve_jobs_arg $ static_seed_arg)
+          Format.printf "%a@." Server.pp_summary r.Server.summary;
+          if show_windows then
+            Format.printf "%a@." Server.pp_windows r.Server.windows
+        end)
+      specs;
+    0
+  end
 
 (* `acsi-run metrics`: run one serve cell with fleet telemetry and print
    the virtual-clock time-series plus the latency / compile-wait /
@@ -1007,436 +777,231 @@ let serve_cmd =
    Telemetry reads the virtual clock but never charges it, and sharded
    runs emit it only in the serial barrier section, so the export is
    byte-identical across --jobs and never perturbs the run it observes. *)
-let metrics_one ~bench ~policy_str ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~shards ~pool ~pool_policy_str
-    ~barrier ~jobs ~static_seed ~interval ~format ~flows_out =
+let metrics () bench scale cfg t interval openmetrics flows_out =
   let module Export = Acsi_obs.Export in
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some _ when format <> "openmetrics" && format <> "jsonl" ->
-      Format.eprintf "unknown format %S (openmetrics|jsonl)@." format;
-      2
-  | Some _ when flows_out <> None && shards <= 0 ->
-      Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
-      2
-  | Some policy -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          2
-      | spec -> (
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          let program = spec.Acsi_workloads.Workloads.build ~scale in
-          let name = spec.Acsi_workloads.Workloads.name in
-          let cfg = apply_seed static_seed (Config.default ~policy) in
-          let buf = Buffer.create 4096 in
-          if shards > 0 then
-            match Acsi_aos.System.queue_policy_of_string pool_policy_str with
-            | None ->
-                Format.eprintf "unknown pool policy %S (fifo|hot|deadline)@."
-                  pool_policy_str;
-                2
-            | Some pool_policy ->
-                let period = Option.value open_period ~default:2400 in
-                let result =
-                  Acsi_server.Shards.run ~quantum ~switch_cost ~seed ~jobs
-                    ~barrier ~pool ~pool_policy ~shards ~sessions:requests
-                    ~period ~name cfg program
-                in
-                let tel = result.Acsi_server.Shards.telemetry in
-                let {
-                  Acsi_server.Shards.tel_series;
-                  tel_latency_all;
-                  tel_steal_distance;
-                  tel_compile_wait;
-                  tel_deopt_gap;
-                  _
-                } =
-                  tel
-                in
-                let shard_labels i =
-                  [ ("bench", name); ("shard", string_of_int i) ]
-                in
-                let labels = [ ("bench", name) ] in
-                (match format with
-                | "openmetrics" ->
-                    Array.iteri
-                      (fun i s ->
-                        Export.series_openmetrics buf ~prefix:"acsi_"
-                          ~labels:(shard_labels i) s)
-                      tel_series;
-                    Export.hist_openmetrics buf ~name:"acsi_session_latency"
-                      ~labels tel_latency_all;
-                    Export.hist_openmetrics buf ~name:"acsi_steal_distance"
-                      ~labels tel_steal_distance;
-                    Export.hist_openmetrics buf ~name:"acsi_compile_wait"
-                      ~labels tel_compile_wait;
-                    Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-                      tel_deopt_gap;
-                    Buffer.add_string buf "# EOF\n"
-                | _ ->
-                    Array.iteri
-                      (fun i s ->
-                        Export.series_jsonl buf ~name:"shard"
-                          ~labels:(shard_labels i) s)
-                      tel_series;
-                    Export.hist_jsonl buf ~name:"session_latency" ~labels
-                      tel_latency_all;
-                    Export.hist_jsonl buf ~name:"steal_distance" ~labels
-                      tel_steal_distance;
-                    Export.hist_jsonl buf ~name:"compile_wait" ~labels
-                      tel_compile_wait;
-                    Export.hist_jsonl buf ~name:"deopt_gap" ~labels
-                      tel_deopt_gap);
-                (match flows_out with
-                | None -> ()
-                | Some path ->
-                    let tracer = Acsi_server.Shards.telemetry_tracer tel in
-                    let fbuf = Buffer.create 4096 in
-                    Export.to_chrome_json fbuf tracer;
-                    write_buffer path fbuf;
-                    Format.eprintf "metrics: wrote flow trace to %s@." path);
-                print_string (Buffer.contents buf);
-                0
-          else begin
-            let mode =
-              match open_period with
-              | Some period -> Acsi_server.Server.Open { period; requests }
-              | None ->
-                  Acsi_server.Server.Closed
-                    { clients; requests_per_client = requests; think }
-            in
-            let result =
-              Acsi_server.Server.run ~quantum ~switch_cost ~seed
-                ?telemetry_interval:interval ~mode ~name cfg program
-            in
-            let {
-              Acsi_server.Server.tl_series;
-              tl_latency;
-              tl_compile_wait;
-              tl_deopt_gap;
-              _
-            } =
-              result.Acsi_server.Server.telemetry
-            in
-            let labels = [ ("bench", name) ] in
-            (match format with
-            | "openmetrics" ->
-                Export.series_openmetrics buf ~prefix:"acsi_" ~labels
-                  tl_series;
-                Export.hist_openmetrics buf ~name:"acsi_request_latency"
-                  ~labels tl_latency;
-                Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
-                  tl_compile_wait;
-                Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-                  tl_deopt_gap;
-                Buffer.add_string buf "# EOF\n"
-            | _ ->
-                Export.series_jsonl buf ~name:"server" ~labels tl_series;
-                Export.hist_jsonl buf ~name:"request_latency" ~labels
-                  tl_latency;
-                Export.hist_jsonl buf ~name:"compile_wait" ~labels
-                  tl_compile_wait;
-                Export.hist_jsonl buf ~name:"deopt_gap" ~labels tl_deopt_gap);
-            print_string (Buffer.contents buf);
-            0
-          end))
+  if flows_out <> None && t.shards <= 0 then begin
+    Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
+    2
+  end
+  else
+    match find_bench bench with
+    | None -> 2
+    | Some spec ->
+        let name = spec.Workloads.name and _, program = build spec scale in
+        let labels = [ ("bench", name) ] in
+        let buf = Buffer.create 4096 in
+        let series labels kind s =
+          if openmetrics then
+            Export.series_openmetrics buf ~prefix:"acsi_" ~labels s
+          else Export.series_jsonl buf ~name:kind ~labels s
+        in
+        let hist name h =
+          if openmetrics then
+            Export.hist_openmetrics buf ~name:("acsi_" ^ name) ~labels h
+          else Export.hist_jsonl buf ~name ~labels h
+        in
+        (if t.shards > 0 then begin
+           let tel = (run_shards t ~name cfg program).Shards.telemetry in
+           Array.iteri
+             (fun i s ->
+               series (labels @ [ ("shard", string_of_int i) ]) "shard" s)
+             tel.Shards.tel_series;
+           hist "session_latency" tel.Shards.tel_latency_all;
+           hist "steal_distance" tel.Shards.tel_steal_distance;
+           hist "compile_wait" tel.Shards.tel_compile_wait;
+           hist "deopt_gap" tel.Shards.tel_deopt_gap;
+           Option.iter
+             (fun path ->
+               let fbuf = Buffer.create 4096 in
+               Export.to_chrome_json fbuf (Shards.telemetry_tracer tel);
+               write_buffer path fbuf;
+               Format.eprintf "metrics: wrote flow trace to %s@." path)
+             flows_out
+         end
+         else
+           let tel =
+             (run_server t ?telemetry_interval:interval ~name cfg program)
+               .Server.telemetry
+           in
+           series labels "server" tel.Server.tl_series;
+           hist "request_latency" tel.Server.tl_latency;
+           hist "compile_wait" tel.Server.tl_compile_wait;
+           hist "deopt_gap" tel.Server.tl_deopt_gap);
+        if openmetrics then Buffer.add_string buf "# EOF\n";
+        print_string (Buffer.contents buf);
+        0
 
-let metrics_bench_arg =
-  Arg.(
-    value & opt string "session"
-    & info [ "b"; "bench" ]
-        ~doc:"Benchmark to serve while collecting telemetry.")
+(* --- the command line --- *)
 
-let metrics_shards_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "shards" ]
-        ~doc:
-          "Virtual processors for the sharded server; 0 collects \
-           single-VM server telemetry instead.")
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
-let metrics_interval_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "interval" ] ~docv:"CYCLES"
-        ~doc:
-          "Time-series sampling interval in virtual cycles (single-VM \
-           mode; the sharded server always samples at round barriers).")
-
-let metrics_format_arg =
-  Arg.(
-    value & opt string "openmetrics"
-    & info [ "format" ] ~doc:"Output format: openmetrics or jsonl.")
-
-let metrics_flows_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flows" ] ~docv:"FILE"
-        ~doc:
-          "Also write the cross-shard flow trace (steal/adopt/deopt \
-           arrows between shard tracks) as Chrome trace-event JSON for \
-           Perfetto (sharded mode).")
-
-let metrics_main verbose bench policy scale requests clients think
-    open_period quantum switch_cost seed shards pool pool_policy_str barrier
-    jobs static_seed interval format flows_out =
-  setup_logs verbose;
-  metrics_one ~bench ~policy_str:policy ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~shards ~pool ~pool_policy_str
-    ~barrier ~jobs ~static_seed ~interval ~format ~flows_out
-
-let metrics_cmd =
-  let doc =
-    "serve one benchmark with fleet telemetry and export the \
-     virtual-clock time-series and latency histograms as OpenMetrics or \
-     JSONL (deterministic: byte-identical across --jobs)"
-  in
-  Cmd.v (Cmd.info "metrics" ~doc)
-    Term.(
-      const metrics_main $ verbose_arg $ metrics_bench_arg $ policy_arg
-      $ scale_arg $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-      $ quantum_arg $ switch_cost_arg $ seed_arg $ metrics_shards_arg
-      $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg
-      $ static_seed_arg $ metrics_interval_arg $ metrics_format_arg
-      $ metrics_flows_arg)
-
-let lint_files_arg =
-  Arg.(
-    value & pos_all file []
-    & info [] ~docv:"FILE"
-        ~doc:
-          "Mini-language programs (.acsi) to lint; every built-in workload \
-           when omitted.")
-
-let run_cmd_term =
-  Term.(
-    const main $ list_arg $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-    $ scale_arg $ compare_arg $ compilations_arg $ disasm_arg $ jobs_arg
-    $ verify_flag $ tier_flag $ static_seed_arg $ speculate_arg)
-
-let lint_cmd =
-  let doc =
-    "typed verification, dead-code and unused-local lints over programs"
-  in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const lint_targets $ lint_files_arg)
-
-let analyze_files_arg =
-  Arg.(
-    value & pos_all file []
-    & info [] ~docv:"FILE"
-        ~doc:
-          "Mini-language programs (.acsi) to analyze; every built-in \
-           workload when omitted.")
-
-let analyze_main verbose jobs files =
-  setup_logs verbose;
-  analyze_targets ~jobs files
-
-let analyze_cmd =
-  let doc =
-    "print the compositional interprocedural summary table (size after \
-     inlining, effects, escapes, constness, always-throws, CHA \
-     monomorphic-dispatch proofs) for programs, without executing them"
-  in
-  Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const analyze_main $ verbose_arg $ jobs_arg $ analyze_files_arg)
-
-let trace_out_arg =
-  Arg.(
-    value & opt string "trace.json"
-    & info [ "o"; "out" ]
-        ~doc:"Chrome trace-event output file (Perfetto-loadable).")
-
-let trace_jsonl_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "jsonl" ] ~docv:"FILE"
-        ~doc:"Also write the event stream as line-per-event JSON.")
-
-let trace_flame_arg =
-  Arg.(
-    value & flag
-    & info [ "flame" ]
-        ~doc:
-          "Also print the CCT-derived virtual-cycle profile as a text \
-           flamegraph.")
-
-let trace_min_pct_arg =
-  Arg.(
-    value & opt float 1.0
-    & info [ "min-pct" ]
-        ~doc:
-          "Prune flamegraph subtrees below this percent of the profile \
-           total.")
-
-let trace_capacity_arg =
-  Arg.(
-    value
-    & opt int (1 lsl 20)
-    & info [ "capacity" ]
-        ~doc:
-          "Tracer ring capacity in events; drops (oldest first) void the \
-           reconciliation check.")
-
-let trace_probe_arg =
-  Arg.(
-    value & flag
-    & info [ "probe-on-clock" ]
-        ~doc:
-          "Charge the cost model's per-event probe cost to the virtual \
-           clock, making the tracing overhead itself visible to the run.")
-
-let trace_main verbose bench file policy scale out jsonl flame min_pct
-    capacity probe_on_clock tier static_seed speculate =
-  setup_logs verbose;
-  trace_one ~bench ~file ~policy_str:policy ~scale ~out ~jsonl ~flame
-    ~min_pct ~capacity ~probe_on_clock ~tier ~static_seed ~speculate
-
-let trace_cmd =
-  let doc =
-    "run one workload with structured tracing on and export a \
-     Perfetto-loadable trace plus the per-component overhead breakdown"
-  in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(
-      const trace_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ trace_out_arg $ trace_jsonl_arg $ trace_flame_arg
-      $ trace_min_pct_arg $ trace_capacity_arg $ trace_probe_arg $ tier_flag
-      $ static_seed_arg $ speculate_arg)
-
-let explain_query_arg =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"METHOD[:PC]"
-        ~doc:
-          "Restrict to decisions whose innermost context entry is a call \
-           site in this method (unqualified or Cls.name), optionally at \
-           exactly the given bytecode pc. All decisions when omitted.")
-
-let explain_main verbose bench file policy scale query tier static_seed
-    speculate =
-  setup_logs verbose;
-  explain_one ~bench ~file ~policy_str:policy ~scale ~query ~tier ~static_seed
-    ~speculate
-
-let explain_cmd =
-  let doc =
-    "run one workload with decision provenance on and print why the \
-     oracle inlined (or refused) each context-sensitive candidate"
-  in
-  Cmd.v (Cmd.info "explain" ~doc)
-    Term.(
-      const explain_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ explain_query_arg $ tier_flag $ static_seed_arg
-      $ speculate_arg)
-
-(* `acsi-run profile`: deterministic DCG persistence. --dump writes the
-   run's final dynamic call graph in the textual {!Acsi_profile.Persist}
-   format; --load seeds a run from a previously dumped profile,
-   reproducing the offline profile-directed setups the paper contrasts
-   itself with (§6). Profiles are program-specific (dense method ids),
-   so dump and load must name the same benchmark and scale. *)
-let profile_one ~bench ~file ~policy_str ~scale ~dump ~load ~tier
-    ~static_seed ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
-      | Error code -> code
-      | Ok (label, program) -> (
-          match
-            match load with
-            | None -> Ok None
-            | Some path -> (
-                try Ok (Some (Acsi_profile.Persist.load path)) with
-                | Acsi_profile.Persist.Malformed msg ->
-                    Error (Printf.sprintf "%s: malformed profile: %s" path msg)
-                | Sys_error msg -> Error msg)
-          with
-          | Error msg ->
-              Format.eprintf "%s@." msg;
-              1
-          | Ok profile ->
-              let cfg =
-                apply_speculate speculate
-                  (apply_seed static_seed
-                     (apply_tier tier (Config.default ~policy)))
-              in
-              let result = Runtime.run ?profile cfg program in
-              Format.printf "%s under %s:@.%a@." label
-                (Acsi_policy.Policy.to_string policy)
-                Metrics.pp result.Runtime.metrics;
-              (match load with
-              | Some path -> Format.printf "profile seeded from %s@." path
-              | None -> ());
-              (match dump with
-              | Some path ->
-                  let dcg = Acsi_aos.System.dcg result.Runtime.sys in
-                  Acsi_profile.Persist.save path dcg;
-                  Format.printf "profile (%d traces) written to %s@."
-                    (Acsi_profile.Dcg.size dcg) path
-              | None -> ());
-              0))
-
-let profile_dump_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dump" ] ~docv:"FILE"
-        ~doc:"Write the run's final dynamic call graph to FILE.")
-
-let profile_load_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "load" ] ~docv:"FILE"
-        ~doc:
-          "Seed the dynamic call graph from FILE before the run (offline \
-           profile-directed inlining).")
-
-let profile_main verbose bench file policy scale dump load tier static_seed
-    speculate =
-  setup_logs verbose;
-  profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load ~tier
-    ~static_seed ~speculate
-
-let profile_cmd =
-  let doc =
-    "run one workload and persist its dynamic call graph, or seed a run \
-     from a dumped profile (deterministic text format)"
-  in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const profile_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ profile_dump_arg $ profile_load_arg $ tier_flag
-      $ static_seed_arg $ speculate_arg)
-
-let cmd =
-  let doc =
-    "run an adaptive-context-sensitive-inlining experiment on one benchmark"
-  in
-  Cmd.group ~default:run_cmd_term (Cmd.info "acsi-run" ~doc)
-    [
-      analyze_cmd;
-      lint_cmd;
-      serve_cmd;
-      metrics_cmd;
-      trace_cmd;
-      explain_cmd;
-      profile_cmd;
-    ]
-
-let () = exit (Cmd.eval' cmd)
+let () =
+  exit
+    (Cmd.eval'
+       (Cmd.group ~default:run_term
+          (Cmd.info "acsi-run"
+             ~doc:
+               "run an adaptive-context-sensitive-inlining experiment on one \
+                benchmark")
+          [
+            cmd "analyze"
+              "print the compositional interprocedural summary table (size \
+               after inlining, effects, escapes, constness, always-throws, \
+               CHA monomorphic-dispatch proofs) for programs, without \
+               executing them"
+              Term.(
+                const analyze_targets $ logs
+                $ jobs_arg [ "j"; "jobs" ] "Domains to analyze programs on."
+                $ files_arg "analyze");
+            cmd "lint"
+              "typed verification, dead-code and unused-local lints over \
+               programs"
+              Term.(const lint_targets $ files_arg "lint");
+            cmd "serve"
+              "serve a deterministic request workload over one shared VM and \
+               adaptive system, reporting throughput and latency percentiles"
+              Term.(
+                const serve $ logs
+                $ Arg.(
+                    value
+                    & opt (list string) [ "db"; "jess"; "compress" ]
+                    & info [ "b"; "bench" ]
+                        ~doc:"Comma-separated benchmark names to serve.")
+                $ scale_arg $ serve_config
+                $ traffic ~shards_default:0
+                    ~shards_doc:
+                      "Serve across N sharded virtual processors (per-shard \
+                       run queues, deterministic work stealing, publish-once \
+                       code cache). 0 (default) keeps the single-VM server. \
+                       With shards, --requests is the total session count \
+                       and arrivals are always open-loop."
+                $ Arg.(
+                    value & flag
+                    & info [ "sync-compile" ]
+                        ~doc:
+                          "Compile synchronously at the sample that requested \
+                           it instead of on the background compiler thread.")
+                $ Arg.(
+                    value & flag
+                    & info [ "windows" ]
+                        ~doc:
+                          "Also print the per-window warmup curve (or, with \
+                           --shards, the per-shard breakdown)."));
+            cmd "metrics"
+              "serve one benchmark with fleet telemetry and export the \
+               virtual-clock time-series and latency histograms as \
+               OpenMetrics or JSONL (deterministic: byte-identical across \
+               --jobs)"
+              Term.(
+                const metrics $ logs
+                $ Arg.(
+                    value & opt string "session"
+                    & info [ "b"; "bench" ]
+                        ~doc:"Benchmark to serve while collecting telemetry.")
+                $ scale_arg $ serve_config
+                $ traffic ~shards_default:2
+                    ~shards_doc:
+                      "Virtual processors for the sharded server; 0 collects \
+                       single-VM server telemetry instead."
+                $ Arg.(
+                    value
+                    & opt (some int) None
+                    & info [ "interval" ] ~docv:"CYCLES"
+                        ~doc:
+                          "Time-series sampling interval in virtual cycles \
+                           (single-VM mode; the sharded server always samples \
+                           at round barriers).")
+                $ Arg.(
+                    value
+                    & opt (enum [ ("openmetrics", true); ("jsonl", false) ])
+                        true
+                    & info [ "format" ]
+                        ~doc:"Output format: openmetrics or jsonl.")
+                $ Arg.(
+                    value
+                    & opt (some string) None
+                    & info [ "flows" ] ~docv:"FILE"
+                        ~doc:
+                          "Also write the cross-shard flow trace \
+                           (steal/adopt/deopt arrows between shard tracks) as \
+                           Chrome trace-event JSON for Perfetto (sharded \
+                           mode)."));
+            cmd "trace"
+              "run one workload with structured tracing on and export a \
+               Perfetto-loadable trace plus the per-component overhead \
+               breakdown"
+              Term.(
+                const trace_one $ logs $ target $ config
+                $ Arg.(
+                    value & opt string "trace.json"
+                    & info [ "o"; "out" ]
+                        ~doc:
+                          "Chrome trace-event output file \
+                           (Perfetto-loadable).")
+                $ Arg.(
+                    value
+                    & opt (some string) None
+                    & info [ "jsonl" ] ~docv:"FILE"
+                        ~doc:
+                          "Also write the event stream as line-per-event \
+                           JSON.")
+                $ Arg.(
+                    value & flag
+                    & info [ "flame" ]
+                        ~doc:
+                          "Also print the CCT-derived virtual-cycle profile as \
+                           a text flamegraph.")
+                $ Arg.(
+                    value & opt float 1.0
+                    & info [ "min-pct" ]
+                        ~doc:
+                          "Prune flamegraph subtrees below this percent of the \
+                           profile total.")
+                $ Arg.(
+                    value
+                    & opt int (1 lsl 20)
+                    & info [ "capacity" ]
+                        ~doc:
+                          "Tracer ring capacity in events; drops (oldest \
+                           first) void the reconciliation check.")
+                $ Arg.(
+                    value & flag
+                    & info [ "probe-on-clock" ]
+                        ~doc:
+                          "Charge the cost model's per-event probe cost to \
+                           the virtual clock, making the tracing overhead \
+                           itself visible to the run."));
+            cmd "explain"
+              "run one workload with decision provenance on and print why the \
+               oracle inlined (or refused) each context-sensitive candidate"
+              Term.(
+                const explain_one $ logs $ target $ config
+                $ Arg.(
+                    value
+                    & pos 0 (some string) None
+                    & info [] ~docv:"METHOD[:PC]"
+                        ~doc:
+                          "Restrict to decisions whose innermost context entry \
+                           is a call site in this method (unqualified or \
+                           Cls.name), optionally at exactly the given bytecode \
+                           pc. All decisions when omitted."));
+            cmd "profile"
+              "run one workload and persist its dynamic call graph, or seed a \
+               run from a dumped profile (deterministic text format)"
+              Term.(
+                const profile_one $ logs $ target $ config
+                $ Arg.(
+                    value
+                    & opt (some string) None
+                    & info [ "dump" ] ~docv:"FILE"
+                        ~doc:
+                          "Write the run's final dynamic call graph to \
+                           FILE.")
+                $ Arg.(
+                    value
+                    & opt (some file) None
+                    & info [ "load" ] ~docv:"FILE"
+                        ~doc:
+                          "Seed the dynamic call graph from FILE before the \
+                           run (offline profile-directed inlining)."));
+          ]))
