@@ -491,13 +491,12 @@ let explain_one () target cfg query =
               (Format.printf "%a@."
                  (Acsi_obs.Provenance.pp_tier_decision ~name))
               (Acsi_obs.Provenance.tier_all prov);
-            let compiled, rejected, fell_back =
+            let compiled, fell_back =
               Acsi_obs.Provenance.tier_outcome_counts prov
             in
-            Format.printf
-              "%d tier decisions (%d compiled, %d rejected, %d fell back)@."
+            Format.printf "%d tier decisions (%d compiled, %d fell back)@."
               (Acsi_obs.Provenance.tier_count prov)
-              compiled rejected fell_back
+              compiled fell_back
           end;
           0)
 

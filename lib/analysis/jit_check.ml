@@ -1,21 +1,6 @@
 open Acsi_bytecode
 open Acsi_vm
 
-let wrapper_of p (code : Code.t) =
-  let root = Program.meth p code.Code.meth in
-  {
-    Meth.id = root.Meth.id;
-    owner = root.Meth.owner;
-    name = root.Meth.name ^ "$opt";
-    selector = root.Meth.selector;
-    kind = root.Meth.kind;
-    arity = root.Meth.arity;
-    returns = root.Meth.returns;
-    body = code.Code.instrs;
-    max_locals = code.Code.max_locals;
-    max_stack = code.Code.max_stack;
-  }
-
 let parents_equal =
   List.equal (fun (m1, pc1) (m2, pc2) ->
       Ids.Method_id.equal m1 m2 && Int.equal pc1 pc2)
@@ -60,7 +45,7 @@ let check p (code : Code.t) : Diag.t list =
   | None -> []
   | Some srcs -> (
       let root = Program.meth p code.Code.meth in
-      let wrapper = wrapper_of p code in
+      let wrapper = Code.as_meth p code in
       (* Structural verification first; the remaining invariants assume a
          well-formed body. *)
       match
@@ -253,9 +238,9 @@ let check p (code : Code.t) : Diag.t list =
                       | _ -> ())
               | _ -> ())
             instrs;
-          (* OSR compatibility: the interpreter transfers a root frame
-             onto the first entry matching its root-level source pc,
-             carrying the operand stack over. *)
+          (* OSR compatibility: a single-frame transfer lands a stale
+             root frame on the first entry matching its root-level
+             source pc, carrying the operand stack over. *)
           (try
              let opt_states = Typecheck.analyze p wrapper in
              let src_states = lazy (Typecheck.analyze p root) in
@@ -277,8 +262,8 @@ let check p (code : Code.t) : Diag.t list =
                        let sd = List.length s.Typecheck.stack in
                        (* A depth mismatch is legal: peephole folding
                           can leave an entry on an instruction with a
-                          different depth than its source pc, and the
-                          interpreter refuses such transfers. A
+                          different depth than its source pc, and such
+                          an entry gets no transfer point. A
                           transferable entry (equal depth) must carry
                           compatible types, or the carried-over stack
                           would be misinterpreted. *)

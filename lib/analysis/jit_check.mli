@@ -18,16 +18,13 @@
       its own or a more deeply nested inline region (jump threading may
       legally carry it to any {e ancestor} frame);
     - {b OSR compatibility}: for each root source pc, the first
-      optimized entry the interpreter would transfer onto has the same
-      operand-stack depth as the source, with pairwise-compatible
+      root-level entry the transfer lands on
+      ({!Acsi_deopt.Deopt.osr_up}'s single-frame point), when its
+      operand-stack depth equals the source's, carries pairwise-compatible
       types. *)
 
 open Acsi_bytecode
 open Acsi_vm
-
-val wrapper_of : Program.t -> Code.t -> Meth.t
-(** The compiled body wrapped as a method (named [root$opt]) so the
-    verifier and the typed checker can run on it unchanged. *)
 
 val check : Program.t -> Code.t -> Diag.t list
 (** All findings, in pc order. Baseline code (no source map) is the

@@ -142,11 +142,3 @@ let iter t ~f =
     (fun i e ->
       match e with Some e -> f (Ids.Method_id.of_int i) e | None -> ())
     t.entries
-
-(* Executable spec of [roots_containing]: the linear scan the inverted
-   index replaces. Kept for the differential tests. *)
-let roots_containing_reference t mid =
-  let acc = ref [] in
-  iter t ~f:(fun root _entry ->
-      if contains_method t ~root mid then acc := root :: !acc);
-  List.rev !acc

@@ -46,10 +46,6 @@ val roots_containing : t -> Ids.Method_id.t -> Ids.Method_id.t list
     entries). Served from an inverted method->roots index maintained on
     {!record}; cost is the size of the answer, not of the registry. *)
 
-val roots_containing_reference : t -> Ids.Method_id.t -> Ids.Method_id.t list
-(** Executable spec of {!roots_containing}: a linear scan over every
-    entry. For differential tests; must agree exactly. *)
-
 val opt_method_count : t -> int
 (** Methods with an entry; served from a maintained counter, O(1). *)
 

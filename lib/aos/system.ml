@@ -47,7 +47,6 @@ type config = {
   merge_rules_to_edges : bool;
   trace_on_timer : bool;
   enable_osr : bool;
-  verify_installed : bool;
   native_tier : bool;
       (** compile [Jit_check]-clean optimized methods onto the closure
           execution tier ({!Acsi_vm.Tier}); purely a host-speed change —
@@ -102,7 +101,6 @@ let default_config policy =
     merge_rules_to_edges = false;
     trace_on_timer = false;
     enable_osr = false;
-    verify_installed = true;
     native_tier = true;
     static_seed = false;
     speculate = false;
@@ -301,8 +299,8 @@ let dcg_organizer t =
    The decision for one site depends only on that site's callee and
    deep-context weights, so the pass reads the DCG's incremental site
    views: one bucket-local sum per aggregate instead of the flat-table
-   rebuild (and its contexts x contexts product) the reference spec
-   below performs. The decision list is order-independent — every site
+   rebuild (and its contexts x contexts product) of the reference spec
+   the tests keep. The decision list is order-independent — every site
    yields at most one Resolve/Flag, and [Flags] state is per-site. *)
 let flag_decisions dcg ~skew_threshold ~min_context_share =
   let acc = ref [] in
@@ -321,81 +319,6 @@ let flag_decisions dcg ~skew_threshold ~min_context_share =
       end);
   !acc
 
-(* The pre-view implementation, kept as the executable spec for the
-   differential tests: rebuild flat per-site / per-context aggregates
-   from the whole trace table, then scan them with nested folds. *)
-let flag_decisions_reference dcg ~skew_threshold ~min_context_share =
-  let site_total : (int * int, float ref) Hashtbl.t = Hashtbl.create 32 in
-  let site_callee : (int * int * int, float ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let ctx_total : ((int * int) list, float ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let ctx_callee : ((int * int) list * int, float ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let bump tbl key w =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := !r +. w
-    | None -> Hashtbl.add tbl key (ref w)
-  in
-  Dcg.iter dcg ~f:(fun trace w ->
-      let e0 = trace.Trace.chain.(0) in
-      let site = ((e0.Trace.caller :> int), e0.Trace.callsite) in
-      let callee = (trace.Trace.callee :> int) in
-      bump site_total site w;
-      bump site_callee (fst site, snd site, callee) w;
-      if Array.length trace.Trace.chain >= 2 then begin
-        let ctx =
-          Array.to_list trace.Trace.chain
-          |> List.map (fun e -> ((e.Trace.caller :> int), e.Trace.callsite))
-        in
-        bump ctx_total ctx w;
-        bump ctx_callee (ctx, callee) w
-      end);
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun (caller_i, callsite) total ->
-      let callees =
-        Hashtbl.fold
-          (fun (c, s, callee) w acc ->
-            if c = caller_i && s = callsite then (callee, !w) :: acc else acc)
-          site_callee []
-      in
-      match callees with
-      | [] | [ _ ] -> ()
-      | _ :: _ :: _ ->
-          let top =
-            List.fold_left (fun acc (_, w) -> Float.max acc w) 0.0 callees
-          in
-          let caller = Ids.Method_id.of_int caller_i in
-          let resolve =
-            top /. !total >= skew_threshold
-            ||
-            (* Does some heavy deep context already discriminate? *)
-            Hashtbl.fold
-              (fun ctx ctotal acc ->
-                acc
-                ||
-                match ctx with
-                | (c, s) :: _
-                  when c = caller_i && s = callsite
-                       && !ctotal >= min_context_share *. !total ->
-                    let ctop =
-                      Hashtbl.fold
-                        (fun (ctx', _) w acc ->
-                          if ctx' = ctx then Float.max acc !w else acc)
-                        ctx_callee 0.0
-                    in
-                    ctop /. !ctotal >= skew_threshold
-                | _ -> false)
-              ctx_total false
-          in
-          acc := (caller, callsite, resolve) :: !acc)
-    site_total;
-  !acc
-
 let update_flags t =
   List.iter
     (fun (caller, callsite, resolve) ->
@@ -410,7 +333,7 @@ let update_flags t =
    root whose current code contains the caller (so the call site lives in
    its code), is stale w.r.t. the current rules, has version headroom,
    and has not already inlined the edge. Ascending root order — the same
-   order the reference scan visits entries in. *)
+   order a scan over the registry visits entries in. *)
 let recompile_candidates registry ~caller ~callsite ~callee ~rules_version
     ~max_opt_versions =
   List.filter
@@ -422,21 +345,6 @@ let recompile_candidates registry ~caller ~callsite ~callee ~rules_version
           && entry.Registry.version < max_opt_versions
           && not (Registry.has_inlined registry ~root ~caller ~callsite ~callee))
     (Registry.roots_containing registry caller)
-
-(* Executable spec of [recompile_candidates]: the product-of-linear-scans
-   form (every registry entry probed for containment). For the
-   differential tests; must agree exactly, including order. *)
-let recompile_candidates_reference registry ~caller ~callsite ~callee
-    ~rules_version ~max_opt_versions =
-  let acc = ref [] in
-  Registry.iter registry ~f:(fun root entry ->
-      if
-        Registry.contains_method registry ~root caller
-        && entry.Registry.rule_stamp < rules_version
-        && entry.Registry.version < max_opt_versions
-        && not (Registry.has_inlined registry ~root ~caller ~callsite ~callee)
-      then acc := root :: !acc);
-  List.rev !acc
 
 (* The AI missing-edge organizer: hot edges that optimized code failed to
    inline (and that the compiler has not refused) trigger recompilation,
@@ -605,6 +513,68 @@ let assumptions_hold t (code : Acsi_vm.Code.t) =
       | None -> false)
     code.Acsi_vm.Code.assumptions
 
+(* The one install gate: every code that reaches a method — a fresh
+   compile, an adoption, a revert to baseline, a lazy baseline compile —
+   passes [Jit_check] (baseline code trivially), is activated on the
+   interpreter and, with the closure tier on, compiled onto the tier or
+   given the [native] closures another VM compiled for the same code.
+   The tier's closures inherit the interpreter's verifier-bounded unsafe
+   accesses, which is why the check gates them too. A tier failure is
+   logged and recorded; the method then stays on the interpreter tier.
+   Verification and tier compilation model a debug-build safety net and
+   a host-speed re-encoding, not AOS work the paper's system performs:
+   neither is charged, so neither can perturb timer samples, decisions
+   or reported totals. *)
+let install ?native t (mid : Ids.Method_id.t) (code : Acsi_vm.Code.t) =
+  Acsi_analysis.Jit_check.check_exn t.program code;
+  Interp.install_code t.vm mid code;
+  if t.cfg.native_tier then begin
+    let outcome =
+      match
+        match native with
+        | Some (fns, entry_depths) ->
+            Interp.install_native t.vm mid ~fns ~entry_depths
+        | None -> Acsi_vm.Tier.install t.vm mid code
+      with
+      | () -> Acsi_obs.Provenance.Tier_compiled
+      | exception exn ->
+          Log.warn (fun m ->
+              m "closure tier failed on %s, staying on interpreter: %s"
+                (Program.meth t.program mid).Meth.name
+                (Printexc.to_string exn));
+          Acsi_obs.Provenance.Tier_fell_back (Printexc.to_string exn)
+    in
+    match t.obs.Acsi_obs.Control.prov with
+    | Some prov -> Acsi_obs.Provenance.add_tier prov mid outcome
+    | None -> ()
+  end
+
+(* On-stack replacement right after [code] was installed — an extension
+   over the paper's system, where new code activates at the method's
+   next invocation ({!Acsi_deopt.Deopt.osr_up}). A single-frame transfer
+   is uncharged; a multi-frame collapse, enabled only with [speculate],
+   pays [deopt_frame] per frame it moves. Without [speculate] the table
+   is built only when the top frame could move, and stays out of
+   [deopt_tables]: membership there arms guard-storm reverts. *)
+let osr_after_install t (code : Acsi_vm.Code.t) =
+  let mid = code.Acsi_vm.Code.meth in
+  let table =
+    if t.cfg.speculate then
+      Option.map snd (Hashtbl.find_opt t.deopt_tables (mid :> int))
+    else if Acsi_deopt.Deopt.top_is_stale t.vm code then
+      Some (Acsi_deopt.Deopt.table_of_code t.program code)
+    else None
+  in
+  match table with
+  | Some table ->
+      let k =
+        Acsi_deopt.Deopt.osr_up ~multi_frame:t.cfg.speculate t.vm table
+      in
+      if k >= 2 then
+        charge ~ev:"osr-up" t Accounting.Controller
+          (k * t.cost.Cost.deopt_frame)
+  | None -> ()
+
 (* Take [mid] off its current optimized code: future invocations run the
    baseline again (closure tier reinstalled to match), frames still
    executing the stale code are drained by [drain_pending_deopt] at the
@@ -627,10 +597,7 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
               at;
               invalidated = reason = Interp.Cha_invalidated;
             }));
-      let bcode = Interp.baseline_code_of t.vm mid in
-      Interp.install_code t.vm mid bcode;
-      (if t.cfg.native_tier then
-         try Acsi_vm.Tier.install t.vm mid bcode with _ -> ());
+      install t mid (Interp.baseline_code_of t.vm mid);
       charge ~ev t Accounting.Controller t.cost.Cost.controller_per_event;
       Log.info (fun m ->
           m "deopt %s: reverted to baseline (%s)"
@@ -707,18 +674,11 @@ let drain_pending_deopt t vm =
         | None -> ()
       end
 
-(* Install freshly compiled code: verify, activate, optionally OSR the
-   innermost frame, and record the compilation. [rule_stamp] is the rules
+(* Install freshly compiled code through the gate, optionally move live
+   frames onto it, and record the compilation. [rule_stamp] is the rules
    version the code was built against — for background compilations that
-   can be older than the current version at install time.
-
-   The re-verification ({!Acsi_analysis.Jit_check}) models a debug-build
-   safety net, not AOS work the paper's system performs, so it is
-   deliberately NOT charged to the virtual clock: enabling or disabling
-   it must never perturb timer samples, compilation decisions, or
-   reported cycle counts. This holds for both compilation models —
-   code produced by the background compiler thread passes through the
-   same check before activation. *)
+   can be older than the current version at install time. Code produced
+   by the background compiler thread passes through the same gate. *)
 let install_compiled t mid code stats ~rule_stamp =
   if t.cfg.speculate && not (assumptions_hold t code) then begin
     (* A class load between compile and install broke an assumption
@@ -731,47 +691,7 @@ let install_compiled t mid code stats ~rule_stamp =
     enqueue_compile t mid
   end
   else begin
-  if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn t.program code;
-  Interp.install_code t.vm mid code;
-  (* Closure-tier promotion, gated on {!Acsi_analysis.Jit_check}: the
-     tier's closures inherit the interpreter's verifier-bounded unsafe
-     accesses, so code must re-verify to be promoted — a rejected method
-     simply stays on the interpreter tier. When [verify_installed] is on,
-     the [check_exn] above already is that gate (install would have
-     aborted on a finding); otherwise the gate runs here, demoted from
-     exception to tier refusal. Like the re-verification, tier compilation
-     is host-side work the modeled system doesn't perform: no virtual
-     cycles are charged, so the flag can never perturb timer samples or
-     reported totals. *)
-  (if t.cfg.native_tier then
-     let record outcome =
-       match t.obs.Acsi_obs.Control.prov with
-       | Some prov -> Acsi_obs.Provenance.add_tier prov mid outcome
-       | None -> ()
-     in
-     let gate =
-       if t.cfg.verify_installed then []
-       else Acsi_analysis.Jit_check.check t.program code
-     in
-     match gate with
-     | d :: _ ->
-         Log.info (fun m ->
-             m "closure tier rejected %s: %s"
-               (Program.meth t.program mid).Meth.name
-               (Acsi_analysis.Diag.to_string d));
-         record
-           (Acsi_obs.Provenance.Tier_rejected (Acsi_analysis.Diag.to_string d))
-     | [] -> (
-         match Acsi_vm.Tier.install t.vm mid code with
-         | () -> record Acsi_obs.Provenance.Tier_compiled
-         | exception exn ->
-             Log.warn (fun m ->
-                 m "closure tier failed on %s, staying on interpreter: %s"
-                   (Program.meth t.program mid).Meth.name
-                   (Printexc.to_string exn));
-             record
-               (Acsi_obs.Provenance.Tier_fell_back (Printexc.to_string exn))));
+  install t mid code;
   (if t.cfg.speculate then begin
      Hashtbl.replace t.deopt_tables
        (mid :> int)
@@ -779,19 +699,7 @@ let install_compiled t mid code stats ~rule_stamp =
      if code.Acsi_vm.Code.assumptions <> [] then
        t.speculative_installs <- t.speculative_installs + 1
    end);
-  (if t.cfg.enable_osr then
-     let moved = Interp.osr t.vm mid in
-     if (not moved) && t.cfg.speculate then
-       match Hashtbl.find_opt t.deopt_tables (mid :> int) with
-       | Some (c, tbl) ->
-           (* Generalized transfer: the root-level OSR above refuses
-              frames suspended inside what is now an inline region; the
-              deopt table can move those too (multi-frame collapse). *)
-           let d0 = t.vm.Interp.depth in
-           if Acsi_deopt.Deopt.try_osr_up t.vm c tbl then
-             charge ~ev:"osr-up" t Accounting.Controller
-               ((d0 - t.vm.Interp.depth + 1) * t.cost.Cost.deopt_frame)
-       | None -> ());
+  if t.cfg.enable_osr then osr_after_install t code;
   (* Deopt-to-recompile gap: this install closes any open deopt window
      for the method (clock read only; nothing is charged). *)
   (match Hashtbl.find_opt t.last_deopt (mid :> int) with
@@ -995,21 +903,7 @@ let adopt_compiled t mid code stats ~rule_stamp ~native =
     invalid_arg
       "System.adopt_compiled: speculative code is shard-local (its CHA \
        assumptions hold against the publisher's loaded universe, not ours)";
-  if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn t.program code;
-  Interp.install_code t.vm mid code;
-  (match native with
-  | Some (fns, entry_depths) when t.cfg.native_tier ->
-      Interp.install_native t.vm mid ~fns ~entry_depths
-  | _ ->
-      if t.cfg.native_tier then
-        let gate =
-          if t.cfg.verify_installed then []
-          else Acsi_analysis.Jit_check.check t.program code
-        in
-        (match gate with
-        | [] -> ( try Acsi_vm.Tier.install t.vm mid code with _ -> ())
-        | _ :: _ -> ()));
+  install ?native t mid code;
   Registry.record t.registry mid stats ~rule_stamp;
   t.adopted_installs <- t.adopted_installs + 1;
   Db.record_adoption t.db ~meth:mid
@@ -1090,31 +984,11 @@ let on_first_execution t mid =
   t.baseline_methods <- t.baseline_methods + 1;
   t.baseline_bytes <-
     t.baseline_bytes + (units * t.cost.Cost.baseline_bytes_per_unit);
-  (* Lazy baseline compilation also targets the closure tier: the gate
-     here is the verification pass {!Acsi_vm.Tier.compile} runs internally
-     (its [Verify.entry_depths] worklist raises on anything the full
-     verifier would reject), so an unverifiable body silently stays on
-     the interpreter tier and fails dynamically exactly as before. The
-     hook fires before the frame is pushed, so even the first invocation
-     runs on the closures. Host-side work only — no virtual charge beyond
-     the baseline-compile cost above, which is tier-independent. *)
-  (if t.cfg.native_tier then
-     match Acsi_vm.Tier.install t.vm mid (Interp.code_of t.vm mid) with
-     | () -> (
-         match t.obs.Acsi_obs.Control.prov with
-         | Some prov ->
-             Acsi_obs.Provenance.add_tier prov mid
-               Acsi_obs.Provenance.Tier_compiled
-         | None -> ())
-     | exception exn -> (
-         Log.debug (fun f ->
-             f "closure tier skipped baseline %s: %s" m.Meth.name
-               (Printexc.to_string exn));
-         match t.obs.Acsi_obs.Control.prov with
-         | Some prov ->
-             Acsi_obs.Provenance.add_tier prov mid
-               (Acsi_obs.Provenance.Tier_fell_back (Printexc.to_string exn))
-         | None -> ()));
+  (* Lazy baseline compilation also targets the closure tier. The hook
+     fires before the frame is pushed, so even the first invocation runs
+     on the closures; an unverifiable body stays on the interpreter tier
+     and fails dynamically exactly as before. *)
+  install t mid (Interp.code_of t.vm mid);
   (* The static pre-warm oracle replaces the just-installed baseline code
      with summary-driven optimized code before the first frame is even
      pushed — the hook fires ahead of the push, so the very first

@@ -63,14 +63,9 @@ type config = {
           invocation stride — edge weights become time-biased *)
   enable_osr : bool;
       (** extension: on-stack-replace the innermost frame when its method
-          gets (re)compiled; the paper's system activates new code only on
-          the next invocation *)
-  verify_installed : bool;
-      (** re-verify every JIT-compiled body ({!Acsi_analysis.Jit_check})
-          before installing it: typed verification plus inline-map,
-          guard-domination and OSR invariants. A debug-build safety net,
-          so the work happens outside the virtual clock — toggling it
-          never changes cycle counts. Default [true]. *)
+          gets (re)compiled (with [speculate], also collapse the frames
+          of a now-inlined chain); the paper's system activates new code
+          only on the next invocation *)
   native_tier : bool;
       (** second execution tier: compile each installed optimized method
           into closure/threaded code ({!Acsi_vm.Tier}), gated on the same
@@ -217,8 +212,8 @@ val adopt_compiled :
   unit
 (** Install optimized code compiled by another AOS instance (a shard's
     publish-once code-cache hit): the adopter pays no compile cycles,
-    but the install still passes the {!config.verify_installed}
-    [Jit_check] gate. [native], when provided and {!config.native_tier}
+    but the install still passes the same [Jit_check] gate as a local
+    install. [native], when provided and {!config.native_tier}
     is on, reuses the publisher's closure-tier compilation — closures
     are VM-independent, runtime state flows through the interpreter's
     window-state record. Recorded in the {!Db} adoption log and in
@@ -291,9 +286,8 @@ val take_telemetry_events : t -> tel_event list
 
     The adaptive-resolution and missing-edge organizers run on indexed
     data (DCG site views, the registry's inverted method->roots index).
-    The pre-index implementations are kept as reference specs; the
-    [test_brain] differential suite pins each optimized kernel to its
-    spec on generated inputs. *)
+    The test suite keeps the pre-index implementations as executable
+    specs and pins each kernel to its spec on generated inputs. *)
 
 val flag_decisions :
   Dcg.t ->
@@ -304,13 +298,6 @@ val flag_decisions :
     callees): [(caller, callsite, resolve)] where [resolve = true] means
     the site's distribution is already skewed (directly or through a
     sufficiently heavy deep context) and tracing can stop. Unordered. *)
-
-val flag_decisions_reference :
-  Dcg.t ->
-  skew_threshold:float ->
-  min_context_share:float ->
-  (Acsi_bytecode.Ids.Method_id.t * int * bool) list
-(** Spec for {!flag_decisions}: flat aggregate rebuild + nested folds. *)
 
 val recompile_candidates :
   Registry.t ->
@@ -323,13 +310,3 @@ val recompile_candidates :
 (** The missing-edge organizer's per-rule query: optimized roots that
     contain [caller], are stale w.r.t. [rules_version], have version
     headroom, and have not inlined the edge. Ascending root order. *)
-
-val recompile_candidates_reference :
-  Registry.t ->
-  caller:Acsi_bytecode.Ids.Method_id.t ->
-  callsite:int ->
-  callee:Acsi_bytecode.Ids.Method_id.t ->
-  rules_version:int ->
-  max_opt_versions:int ->
-  Acsi_bytecode.Ids.Method_id.t list
-(** Spec for {!recompile_candidates}: a scan over every registry entry. *)

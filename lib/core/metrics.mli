@@ -45,9 +45,10 @@ type t = {
   (* scheduler / server counters *)
   osr_count : int;  (** [osr_up + osr_down]: all on-stack transfers *)
   osr_up : int;
-      (** interpreter/baseline frames transferred {e into} optimized
-          code: root-level {!Acsi_vm.Interp.osr} plus generalized
-          multi-frame {!Acsi_vm.Interp.osr_into} transfers *)
+      (** transfers {e into} installed optimized code, all through
+          {!Acsi_vm.Interp.osr_into}: a single stale frame (baseline or
+          an older optimized version) or, with speculation, the frames
+          of a now-inlined chain *)
   osr_down : int;
       (** optimized frames deoptimized back to baseline
           ({!Acsi_vm.Interp.deopt_top_frame}); broken down by reason in

@@ -205,7 +205,7 @@ let compile program cost oracle ~root =
      invariant. The AOS re-checks the full set of JIT invariants (typed
      verification, guard domination, OSR compatibility) before
      installing, via Acsi_analysis.Jit_check over this same wrapper. *)
-  let wrapper = Acsi_analysis.Jit_check.wrapper_of program code in
+  let wrapper = Code.as_meth program code in
   Verify.meth program wrapper;
   let code = { code with Code.max_stack = wrapper.Meth.max_stack } in
   let stats =

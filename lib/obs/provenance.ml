@@ -30,7 +30,6 @@ type decision = {
 
 type tier_outcome =
   | Tier_compiled
-  | Tier_rejected of string
   | Tier_fell_back of string
 
 type tier_decision = {
@@ -75,12 +74,11 @@ let tier_all t = List.rev t.tier_rev
 
 let tier_outcome_counts t =
   List.fold_left
-    (fun (c, r, f) d ->
+    (fun (c, f) d ->
       match d.td_outcome with
-      | Tier_compiled -> (c + 1, r, f)
-      | Tier_rejected _ -> (c, r + 1, f)
-      | Tier_fell_back _ -> (c, r, f + 1))
-    (0, 0, 0) t.tier_rev
+      | Tier_compiled -> (c + 1, f)
+      | Tier_fell_back _ -> (c, f + 1))
+    (0, 0) t.tier_rev
 
 let at t ~(caller : Ids.Method_id.t) ?callsite () =
   List.filter
@@ -160,7 +158,6 @@ let pp_tier_decision ~name fmt d =
   let verdict =
     match d.td_outcome with
     | Tier_compiled -> "closure-tier COMPILED"
-    | Tier_rejected why -> "closure-tier rejected: " ^ why
     | Tier_fell_back why -> "closure-tier fell back: " ^ why
   in
   Format.fprintf fmt "tier #%d @@%d cycles  %s  %s" d.td_seq d.td_cycle

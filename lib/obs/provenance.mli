@@ -78,14 +78,12 @@ type decision = private {
 (** {2 Execution-tier decisions}
 
     A second reason axis, orthogonal to inlining: what happened when the
-    AOS tried to move a freshly installed optimized method onto the
-    closure execution tier. *)
+    AOS moved freshly installed code (optimized, adopted, reverted or
+    lazily compiled baseline) onto the closure execution tier. Code that
+    fails the [Jit_check] install gate is never installed at all. *)
 
 type tier_outcome =
   | Tier_compiled  (** closure-tier code installed *)
-  | Tier_rejected of string
-      (** the [Jit_check] install gate refused the code (first
-          diagnostic); the method stays on the interpreter tier *)
   | Tier_fell_back of string
       (** the tier compiler itself failed; the method stays on the
           interpreter tier *)
@@ -116,8 +114,8 @@ val tier_count : t -> int
 val tier_all : t -> tier_decision list
 (** Emission order. *)
 
-val tier_outcome_counts : t -> int * int * int
-(** [(compiled, rejected, fell_back)]. *)
+val tier_outcome_counts : t -> int * int
+(** [(compiled, fell_back)]. *)
 
 val at : t -> caller:Ids.Method_id.t -> ?callsite:int -> unit -> decision list
 (** Decisions whose innermost context entry is a call site in [caller]

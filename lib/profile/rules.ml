@@ -85,10 +85,10 @@ let applicable_rules ~exact t ~site_chain =
 let applicable ?(exact = false) t ~site_chain =
   applicable_rules ~exact t ~site_chain
 
-(* Shared tail of both implementations: the per-callee weights are summed
-   in [applicable] order and folded out of the same table, so the
-   optimized path reproduces the reference's result list exactly —
-   including the order of equal-weight ties under the stable sort. *)
+(* The per-callee weights, summed in [applicable] order and folded out of
+   one table — the order of equal-weight ties under the stable sort
+   depends on it, and the test suite's reference spec fills its table
+   the same way. *)
 let weights_of_applicable applicable =
   let weight_of = Hashtbl.create 8 in
   List.iter
@@ -158,51 +158,5 @@ let candidates ?(exact = false) t ~site_chain =
         Cache.add t.cache { key with Chain_key.chain = Array.copy site_chain }
           result;
         result
-
-(* The pre-index implementation, kept verbatim as the executable spec the
-   differential tests compare [candidates] against. *)
-let candidates_reference ?(exact = false) t ~site_chain =
-  if Array.length site_chain = 0 then []
-  else
-    let applicable = applicable_rules ~exact t ~site_chain in
-    match applicable with
-    | [] -> []
-    | _ :: _ ->
-        (* Group by context. Contexts are few per site; association lists
-           keep the code simple. *)
-        let groups = ref [] in
-        List.iter
-          (fun r ->
-            let chain = r.trace.Trace.chain in
-            let rec insert = function
-              | [] -> [ (chain, ref [ r ]) ]
-              | ((c, rs) as g) :: rest ->
-                  if
-                    Array.length c = Array.length chain
-                    && Trace.context_matches ~rule_chain:c ~site_chain:chain
-                  then begin
-                    rs := r :: !rs;
-                    g :: rest
-                  end
-                  else g :: insert rest
-            in
-            groups := insert !groups)
-          applicable;
-        let weight_of = weights_of_applicable applicable in
-        let in_group callee (_, rs) =
-          List.exists
-            (fun r -> Ids.Method_id.equal r.trace.Trace.callee callee)
-            !rs
-        in
-        let survivors =
-          Hashtbl.fold
-            (fun key w acc ->
-              let callee = Ids.Method_id.of_int key in
-              if List.for_all (in_group callee) !groups then
-                (callee, w) :: acc
-              else acc)
-            weight_of []
-        in
-        List.sort (fun (_, a) (_, b) -> Float.compare b a) survivors
 
 let iter t ~f = Hashtbl.iter (fun _ rs -> List.iter f rs) t.by_site

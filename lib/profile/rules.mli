@@ -57,11 +57,4 @@ val candidates :
     value: repeated compiles of the same root under the same rules hit
     the cache instead of recomputing the partial-match intersection. *)
 
-val candidates_reference :
-  ?exact:bool -> t -> site_chain:Trace.entry array -> (Ids.Method_id.t * float) list
-(** The pre-index implementation of {!candidates} (list-scan groups, no
-    memoization), kept as the executable specification for differential
-    tests. Must agree with {!candidates} exactly, including result
-    order. *)
-
 val iter : t -> f:(rule -> unit) -> unit

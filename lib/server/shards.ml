@@ -1,5 +1,4 @@
 module Interp = Acsi_vm.Interp
-module Tier = Acsi_vm.Tier
 module System = Acsi_aos.System
 module Registry = Acsi_aos.Registry
 module Dcg = Acsi_profile.Dcg
@@ -152,10 +151,11 @@ type shard = {
   sd_latency_hist : Acsi_obs.Hist.t;
 }
 
-(* A publish-once code-cache entry. [p_native] carries the publisher's
-   closure-tier compilation: tier closures are VM-independent (runtime
-   state flows through the interpreter's window-state record), so
-   adopters install them directly instead of re-compiling. *)
+(* A publish-once code-cache entry. [p_native] carries the closures the
+   publisher's VM installed for the code: tier closures are
+   VM-independent (runtime state flows through the interpreter's
+   window-state record), so adopters install them directly instead of
+   re-compiling. *)
 type publication = {
   p_mid : Acsi_bytecode.Ids.Method_id.t;
   p_origin : int;
@@ -344,22 +344,14 @@ let collect_publications published shards pubs_rev =
         (fun ((mid : Acsi_bytecode.Ids.Method_id.t), entry) ->
           sd.sd_pub_seen.((mid :> int)) <- entry.Registry.version;
           if not (Hashtbl.mem published (mid :> int)) then begin
-            let code = Interp.code_of sd.sd_vm mid in
-            let native =
-              if Interp.native_installed sd.sd_vm mid then
-                match Tier.compile sd.sd_vm code with
-                | r -> Some r
-                | exception _ -> None
-              else None
-            in
             let p =
               {
                 p_mid = mid;
                 p_origin = sd.sd_id;
-                p_code = code;
+                p_code = Interp.code_of sd.sd_vm mid;
                 p_stats = entry.Registry.stats;
                 p_rule_stamp = entry.Registry.rule_stamp;
-                p_native = native;
+                p_native = Interp.native_of sd.sd_vm mid;
               }
             in
             Hashtbl.add published (mid :> int) p;

@@ -31,6 +31,19 @@ let baseline (cost : Cost.t) (m : Meth.t) =
     assumptions = [];
   }
 
+let as_meth program code =
+  let root = Program.meth program code.meth in
+  {
+    root with
+    Meth.name =
+      (match code.tier with
+      | Baseline -> root.Meth.name
+      | Optimized -> root.Meth.name ^ "$opt");
+    body = code.instrs;
+    max_locals = code.max_locals;
+    max_stack = code.max_stack;
+  }
+
 let source_at code ~pc =
   match code.src with
   | None -> ((code.meth, pc), [])

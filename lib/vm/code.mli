@@ -43,6 +43,12 @@ type t = {
 val baseline : Cost.t -> Meth.t -> t
 (** The baseline compilation of a method: its body verbatim. *)
 
+val as_meth : Program.t -> t -> Meth.t
+(** The code viewed as a method of its root's signature (named
+    [root$opt] when optimized), so the bytecode verifier, the typed
+    checker and the frame-depth derivations run on it unchanged. A fresh
+    record on every call: verification may update its [max_stack]. *)
+
 val source_at : t -> pc:int -> (Ids.Method_id.t * int) * (Ids.Method_id.t * int) list
 (** [source_at code ~pc] is [((m, src_pc), parents)]: the source-level
     method and pc executing at [pc], plus the inline parents within this

@@ -51,8 +51,10 @@ type t = {
   deopt_frame : int;
       (** cost per source frame reconstructed (or consumed) by an
           on-stack transfer between tiers — charged by the AOS for each
-          frame a {!Interp.deopt_top_frame}/{!Interp.osr_into} plan
-          touches, modeling frame-state extraction and repack. *)
+          frame a {!Interp.deopt_top_frame} plan reconstructs or a
+          multi-frame {!Interp.osr_into} collapse consumes, modeling
+          frame-state extraction and repack. A single-frame upward
+          transfer is not charged: it repacks no inline state. *)
 }
 
 val default : t

@@ -4,11 +4,11 @@ open Acsi_vm
 type point = Interp.frame_plan array
 
 type table = {
-  tbl_meth : Ids.Method_id.t;
+  tbl_code : Code.t;
   points : point option array;
 }
 
-let meth t = t.tbl_meth
+let meth t = t.tbl_code.Code.meth
 
 let point_at t ~pc =
   if pc < 0 || pc >= Array.length t.points then None else t.points.(pc)
@@ -69,24 +69,11 @@ exception Invalid
 let table_of_code program (code : Code.t) =
   match code.Code.src with
   | None ->
-      {
-        tbl_meth = code.Code.meth;
-        points = Array.make (Array.length code.Code.instrs) None;
-      }
+      { tbl_code = code; points = Array.make (Array.length code.Code.instrs) None }
   | Some entries ->
-      let root = Program.meth program code.Code.meth in
-      (* Same wrapper trick as [Interp.osr]: the optimized body viewed as
-         a method of the root's signature, so the bytecode verifier can
-         derive per-pc operand-stack entry depths for it. *)
-      let wrapper =
-        {
-          root with
-          Meth.body = code.Code.instrs;
-          max_locals = code.Code.max_locals;
-          max_stack = code.Code.max_stack;
-        }
+      let opt_depths =
+        Verify.entry_depths program (Code.as_meth program code)
       in
-      let opt_depths = Verify.entry_depths program wrapper in
       let bases = region_bases program code entries in
       let depth_cache : (int, int array) Hashtbl.t = Hashtbl.create 16 in
       let depths_of (mid : Ids.Method_id.t) =
@@ -179,44 +166,91 @@ let table_of_code program (code : Code.t) =
             else Some (Array.of_list plans)
           with Invalid -> None
       in
-      { tbl_meth = code.Code.meth; points = Array.mapi point_of entries }
+      { tbl_code = code; points = Array.mapi point_of entries }
 
-let try_osr_up vm (code : Code.t) t =
+let top_is_stale vm (code : Code.t) =
+  vm.Interp.depth > 0
+  &&
+  let c = vm.Interp.frames.(vm.Interp.depth - 1).Interp.f_code in
+  Ids.Method_id.equal c.Code.meth code.Code.meth && c != code
+
+(* The single-frame point: a top frame running stale code of the root
+   (baseline or an older optimized version) at a root-level source pc
+   lands on the FIRST root-level entry for that pc — the entry
+   [Jit_check]'s OSR clause type-checks — provided that entry has a
+   point and the frame carries exactly its stack depth. *)
+let single_frame_point vm t =
+  let code = t.tbl_code in
   let mid = code.Code.meth in
-  if
-    vm.Interp.depth < 2
-    || not (Interp.code_of vm mid == code)
-  then false
+  let fr = vm.Interp.frames.(vm.Interp.depth - 1) in
+  match (Code.source_at fr.Interp.f_code ~pc:fr.Interp.f_pc, code.Code.src) with
+  | ((m, spc), []), Some entries
+    when top_is_stale vm code && Ids.Method_id.equal m mid && spc >= 0 -> (
+      let rec first pc =
+        if pc >= Array.length entries then None
+        else
+          let e = entries.(pc) in
+          if
+            e.Code.src_pc = spc && e.Code.parents = []
+            && Ids.Method_id.equal e.Code.src_meth mid
+          then Some pc
+          else first (pc + 1)
+      in
+      match first 0 with
+      | Some pc -> (
+          match t.points.(pc) with
+          | Some ([| p |] as plans)
+            when p.Interp.dp_stack_len = fr.Interp.f_sp - fr.Interp.f_base ->
+              Some (plans, pc)
+          | _ -> None)
+      | None -> None)
+  | _ -> None
+
+(* A multi-frame point: the top k >= 2 frames run baseline code and
+   match the point's chain frame by frame; the first such pc wins. *)
+let multi_frame_point vm t =
+  let depth = vm.Interp.depth in
+  let matches (plans : point) =
+    let k = Array.length plans in
+    k >= 2 && k <= depth
+    &&
+    let ok = ref true in
+    Array.iteri
+      (fun i (p : Interp.frame_plan) ->
+        if !ok then
+          let fr = vm.Interp.frames.(depth - k + i) in
+          let c = fr.Interp.f_code in
+          if
+            not
+              (c.Code.tier = Code.Baseline
+              && Ids.Method_id.equal c.Code.meth p.Interp.dp_meth
+              && fr.Interp.f_pc = p.Interp.dp_pc
+              && fr.Interp.f_sp - fr.Interp.f_base = p.Interp.dp_stack_len)
+          then ok := false)
+      plans;
+    !ok
+  in
+  let rec scan pc =
+    if pc >= Array.length t.points then None
+    else
+      match t.points.(pc) with
+      | Some plans when matches plans -> Some (plans, pc)
+      | _ -> scan (pc + 1)
+  in
+  scan 0
+
+let osr_up ?(multi_frame = false) vm t =
+  let code = t.tbl_code in
+  let mid = code.Code.meth in
+  if vm.Interp.depth = 0 || not (Interp.code_of vm mid == code) then 0
   else
-    let depth = vm.Interp.depth in
-    let n = Array.length t.points in
-    let matches (plans : point) =
-      let k = Array.length plans in
-      k >= 2 && k <= depth
-      &&
-      let ok = ref true in
-      Array.iteri
-        (fun i (p : Interp.frame_plan) ->
-          if !ok then
-            let fr = vm.Interp.frames.(depth - k + i) in
-            let c = fr.Interp.f_code in
-            if
-              not
-                (c.Code.tier = Code.Baseline
-                && Ids.Method_id.equal c.Code.meth p.Interp.dp_meth
-                && fr.Interp.f_pc = p.Interp.dp_pc
-                && fr.Interp.f_sp - fr.Interp.f_base = p.Interp.dp_stack_len)
-            then ok := false)
-        plans;
-      !ok
+    let point =
+      match single_frame_point vm t with
+      | Some _ as p -> p
+      | None -> if multi_frame then multi_frame_point vm t else None
     in
-    let rec scan pc =
-      if pc >= n then false
-      else
-        match t.points.(pc) with
-        | Some plans when matches plans ->
-            Interp.osr_into vm mid ~plans ~pc;
-            true
-        | _ -> scan (pc + 1)
-    in
-    scan 0
+    match point with
+    | Some (plans, pc) ->
+        Interp.osr_into vm mid ~plans ~pc;
+        Array.length plans
+    | None -> 0

@@ -11,11 +11,11 @@
     - {e deoptimization} ({!Interp.deopt_top_frame}): optimized →
       baseline, used when an inline guard fails repeatedly or a class
       load invalidates a CHA proof the code speculated on; and
-    - {e generalized OSR} ({!try_osr_up} / {!Interp.osr_into}):
-      baseline → optimized at arbitrary mapped pcs, including points
-      where inline-region frames are live — the "OSR à la Carte" shape,
-      strictly more general than the depth-compatible root-level-only
-      {!Interp.osr}.
+    - {e on-stack replacement} ({!osr_up} / {!Interp.osr_into}):
+      stale → optimized. A single-frame transfer is the one-plan point
+      at a root-level pc; a multi-frame transfer collapses the live
+      frames of an inline chain into one optimized frame — the "OSR à
+      la Carte" shape, one compensation map serving both directions.
 
     Tables are pure functions of [(program, code)]: construction
     performs host-side analysis only and charges nothing; the AOS
@@ -52,12 +52,20 @@ val point_count : table -> int
 val covered : table -> pc:int -> bool
 (** [point_at] is [Some _] — convenience for dominance checks. *)
 
-val try_osr_up : Interp.t -> Code.t -> table -> bool
-(** Attempt a generalized upward transfer: if [code] is the currently
-    installed code for its method and the top frames of the VM (two or
-    more — single-frame root-level transfers are {!Interp.osr}'s job)
-    exactly match some point's chain (method, pc and operand-stack
-    depth per frame, outermost frame running stale baseline code of the
-    root), collapse them into one optimized frame via
-    {!Interp.osr_into}. Returns whether a transfer happened. Only safe
+val top_is_stale : Interp.t -> Code.t -> bool
+(** The VM's top frame runs code of [code]'s method other than [code]
+    itself: baseline or an older optimized version. Only such a frame
+    can make a single-frame transfer. *)
+
+val osr_up : ?multi_frame:bool -> Interp.t -> table -> int
+(** Attempt an upward transfer onto the table's code, which must be the
+    currently installed code for its method (otherwise nothing moves).
+    The single-frame point is tried first: a {!top_is_stale} frame at a
+    root-level source pc lands on the first root-level entry for that
+    pc, if that entry has a point whose depth the frame carries. With
+    [multi_frame] (default [false]), the top [k >= 2] frames, all
+    running baseline code, may then collapse at the first point whose
+    chain they match (method, pc and operand-stack depth per frame).
+    Executes the transfer with {!Interp.osr_into} and returns the number
+    of source frames moved, [0] when none. Charges nothing. Only safe
     at an instruction boundary (a VM hook). *)

@@ -216,7 +216,10 @@ let output t = List.rev t.output_rev
 
 let install_code t (mid : Ids.Method_id.t) code =
   t.code_table.((mid :> int)) <- code;
-  t.dcode_table.((mid :> int)) <- Dcode.of_code ~fuse:t.fuse t.cost code;
+  t.dcode_table.((mid :> int)) <-
+    (if code == t.baseline_code.((mid :> int)) then
+       t.baseline_dcode.((mid :> int))
+     else Dcode.of_code ~fuse:t.fuse t.cost code);
   (* Any previously compiled closure tier targeted the replaced code. *)
   t.native_table.((mid :> int)) <- [||];
   t.native_depths.((mid :> int)) <- [||]
@@ -227,8 +230,10 @@ let install_native t (mid : Ids.Method_id.t) ~fns ~entry_depths =
   t.native_table.((mid :> int)) <- fns;
   t.native_depths.((mid :> int)) <- entry_depths
 
-let native_installed t (mid : Ids.Method_id.t) =
-  Array.length t.native_table.((mid :> int)) > 0
+let native_of t (mid : Ids.Method_id.t) =
+  let fns = t.native_table.((mid :> int)) in
+  if Array.length fns = 0 then None
+  else Some (fns, t.native_depths.((mid :> int)))
 
 let code_of t (mid : Ids.Method_id.t) = t.code_table.((mid :> int))
 let decoded_of t (mid : Ids.Method_id.t) = t.dcode_table.((mid :> int))
@@ -266,114 +271,15 @@ let deopt_guard_count t = t.deopt_guard
 let deopt_invalidate_count t = t.deopt_invalidate
 let invocation_count t (mid : Ids.Method_id.t) = t.invocations.((mid :> int))
 
-(* On-stack replacement of the innermost frame: if it is executing stale
-   code for [mid] at a root-level source pc that still exists in the
-   currently installed code, transfer the frame. Only the top frame is
-   eligible — outer frames are suspended at call sites whose replacement
-   code may have inlined the callee, which would resume into the middle of
-   an inline region with the wrong continuation. Root locals keep their
-   slots (the expander maps them identically); the operand stack carries
-   over because root-level source points have equal stack depth in both
-   codes (both verify against the same source). *)
-let osr t (mid : Ids.Method_id.t) =
-  if t.depth = 0 then false
-  else
-    let fr = t.frames.(t.depth - 1) in
-    let current = t.code_table.((mid :> int)) in
-    if
-      (not (Ids.Method_id.equal fr.f_code.Code.meth mid))
-      || fr.f_code == current
-    then false
-    else
-      let (src_m, src_pc), parents = Code.source_at fr.f_code ~pc:fr.f_pc in
-      if (not (Ids.Method_id.equal src_m mid)) || parents <> [] || src_pc < 0
-      then false
-      else
-        let target =
-          match current.Code.src with
-          | None -> if src_pc < Array.length current.Code.instrs then Some src_pc else None
-          | Some entries ->
-              let n = Array.length entries in
-              let rec find pc =
-                if pc >= n then None
-                else
-                  let e = entries.(pc) in
-                  if
-                    Ids.Method_id.equal e.Code.src_meth mid
-                    && e.Code.src_pc = src_pc
-                    && e.Code.parents = []
-                  then Some pc
-                  else find (pc + 1)
-              in
-              find 0
-        in
-        match target with
-        | None -> false
-        | Some pc' ->
-            let sp_rel = fr.f_sp - fr.f_base in
-            (* The target pc must expect exactly the operand-stack depth
-               the suspended frame carries: the peephole optimizer can
-               leave a root-level source entry on an instruction whose
-               entry depth differs from the source pc's (constant
-               folding keeps the consumer's entry), and transferring
-               there would misalign the stack. *)
-            let depth_ok =
-              sp_rel <= current.Code.max_stack
-              &&
-              let root = Program.meth t.program mid in
-              let wrapper =
-                {
-                  root with
-                  Meth.body = current.Code.instrs;
-                  max_locals = current.Code.max_locals;
-                  max_stack = current.Code.max_stack;
-                }
-              in
-              (Verify.entry_depths t.program wrapper).(pc') = sp_rel
-            in
-            if not depth_ok then false
-            else begin
-              (* When the target runs on the closure tier, the transfer
-                 additionally lands on a compiled entry point: the entry
-                 depth the tier compiler derived for [pc'] at install
-                 time must agree with the depth the interpreter-side
-                 verifier just derived — the frame layout (one array,
-                 locals below [max_locals], stack above) is shared
-                 between tiers only under that agreement. *)
-              let nc = t.native_table.((mid :> int)) in
-              if Array.length nc > 0 then begin
-                let nd = t.native_depths.((mid :> int)) in
-                if pc' >= Array.length nd || nd.(pc') <> sp_rel then
-                  rerr
-                    "osr: closure-tier entry depth mismatch at pc %d \
-                     (interpreter expects %d)"
-                    pc' sp_rel
-              end;
-              let base = current.Code.max_locals in
-              let regs =
-                Array.make (base + max 1 current.Code.max_stack) Value.zero
-              in
-              Array.blit fr.f_regs 0 regs 0 (min fr.f_base base);
-              Array.blit fr.f_regs fr.f_base regs base sp_rel;
-              fr.f_code <- current;
-              fr.f_dcode <- t.dcode_table.((mid :> int));
-              fr.f_ncode <- nc;
-              fr.f_pc <- pc';
-              fr.f_regs <- regs;
-              fr.f_base <- base;
-              fr.f_sp <- base + sp_rel;
-              t.osr_up <- t.osr_up + 1;
-              true
-            end
-
-(* Generalized upward transfer: replace the top [Array.length plans]
-   baseline frames (outermost first, matching [plans]) by ONE optimized
-   frame resuming at [pc] of the currently installed code for [mid]. The
-   caller ([Acsi_deopt.try_osr_up]) has already checked that each live
-   frame matches its plan (method, pc, stack depth) — this function only
+(* The one upward transfer: replace the top [Array.length plans] frames
+   (outermost first, matching [plans]) by ONE frame resuming at [pc] of
+   the currently installed code for [mid]. The caller
+   ([Acsi_deopt.Deopt.osr_up]) has already checked that each live frame
+   matches its plan (method, pc, stack depth) — this function only
    moves state. Locals of every source frame scatter to their region
    bases; operand-stack slices concatenate bottom-up above [max_locals],
-   exactly inverting {!deopt_top_frame}. *)
+   exactly inverting {!deopt_top_frame}. A single-frame transfer is the
+   one-plan case: root locals keep their slots, the stack carries over. *)
 let osr_into t (mid : Ids.Method_id.t) ~(plans : frame_plan array) ~pc =
   let k = Array.length plans in
   if k = 0 || t.depth < k then invalid_arg "Interp.osr_into: bad plan count";
@@ -392,9 +298,11 @@ let osr_into t (mid : Ids.Method_id.t) ~(plans : frame_plan array) ~pc =
     plans;
   let nc = t.native_table.((mid :> int)) in
   (if Array.length nc > 0 then begin
-     (* Same cross-tier agreement check as {!osr}: landing on a compiled
-        entry point requires the tier compiler's entry depth for [pc] to
-        match the depth we just materialized. *)
+     (* Cross-tier agreement: landing on a compiled entry point requires
+        the tier compiler's entry depth for [pc] to match the depth just
+        materialized — the frame layout (one array, locals below
+        [max_locals], stack above) is shared between tiers only under
+        that agreement. *)
      let nd = t.native_depths.((mid :> int)) in
      if pc >= Array.length nd || nd.(pc) <> !sp_rel then
        rerr "osr_into: closure-tier entry depth mismatch at pc %d" pc
@@ -538,11 +446,6 @@ let[@inline] set regs i v =
     Array.unsafe_set (Value.int_slots regs) i (Value.to_int v)
   else Array.unsafe_set regs i v
 
-(* [set] for the reference loop, keeping its bounds checks. *)
-let set_checked regs i v =
-  if i < 0 || i >= Array.length regs then invalid_arg "index out of bounds";
-  set regs i v
-
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
   | Instr.Add -> a + b
@@ -635,7 +538,7 @@ let dispatch_target t (recv : Value.t) sel =
 
 (* Execute up to [budget] source instructions of the top frame without
    re-checking the virtual timer. The budget is computed so that the
-   skipped checks are provably no-ops (see [run]); any instruction whose
+   skipped checks are provably no-ops (see [resume]); any instruction whose
    charge exceeds the frame's per-dispatch cost ends the window, because
    only the uniform per-dispatch cost was accounted for when the budget
    was sized.
@@ -657,8 +560,9 @@ let dispatch_target t (recv : Value.t) sel =
    deferred instructions charged exactly [icost], so the clock can be
    reconstructed exactly. Nothing observes the clock mid-window (hooks
    only fire between windows), except an escaping [Runtime_error] — which
-   aborts the run, so the lag is unobservable; [run_reference] keeps exact
-   per-instruction accounting on that path. *)
+   aborts the run, so the lag is unobservable; the naive reference loop
+   the tests keep as its specification has exact per-instruction
+   accounting on that path. *)
 let[@inline] flush t icost ninstr =
   t.instr_count <- t.instr_count + ninstr;
   t.cycles <- t.cycles + (ninstr * icost)
@@ -1289,26 +1193,11 @@ and continue_window t =
       if t.window_end < t.next_sample then t.window_end else t.next_sample
     in
     let remaining = limit - t.cycles in
-    if remaining > 0 then begin
-      let fr = t.frames.(t.depth - 1) in
-      let nc = fr.f_ncode in
-      if Array.length nc = 0 then
-        let dc = fr.f_dcode in
-        step t fr dc.Dcode.ops dc.Dcode.icost fr.f_regs fr.f_regs fr.f_pc
-          fr.f_sp remaining 0
-      else begin
-        let st = t.wst in
-        st.w_fr <- fr;
-        st.w_regs <- fr.f_regs;
-        st.w_sp <- fr.f_sp;
-        st.w_rem <- remaining;
-        st.w_nin <- 0;
-        (Array.unsafe_get nc fr.f_pc) st
-      end
-    end
+    if remaining > 0 then exec_window t t.frames.(t.depth - 1) remaining
   end
 
-let exec_window t fr remaining =
+(* Run one window of [remaining] cycles in [fr], on the frame's tier. *)
+and exec_window t fr remaining =
   let nc = fr.f_ncode in
   if Array.length nc = 0 then
     let dc = fr.f_dcode in
@@ -1324,6 +1213,21 @@ let exec_window t fr remaining =
     (Array.unsafe_get nc fr.f_pc) st
   end
 
+(* The main frame's prologue, shared by every driver: [main]'s lazy
+   baseline compilation (first-execution hook), its frame and its call. *)
+let enter_main t =
+  let main = Program.main t.program in
+  if not t.executed.((main :> int)) then begin
+    t.executed.((main :> int)) <- true;
+    t.on_first_execution main
+  end;
+  ignore
+    (push_frame t
+       t.code_table.((main :> int))
+       t.dcode_table.((main :> int))
+       t.native_table.((main :> int)));
+  t.call_count <- t.call_count + 1
+
 (* The driver. The naive interpreter compares [cycles >= next_sample]
    before every instruction; here the check runs once per *window*, whose
    size (in source instructions) is chosen so every skipped check is
@@ -1338,7 +1242,7 @@ let exec_window t fr remaining =
    under the naive loop. *)
 (* Calibrated variants of the two driver-loop steps: same calls in the
    same order, additionally attributing the wall-time and virtual-cycle
-   deltas to a bucket. Kept out of line so the uncalibrated loops stay
+   deltas to a bucket. Kept out of line so the uncalibrated loop stays
    branch-free beyond one flag test per window. *)
 let timer_hook t =
   if t.calibrate then begin
@@ -1355,222 +1259,6 @@ let exec_window_calibrated t fr budget =
   exec_window t fr budget;
   t.cal_cycles.(b) <- t.cal_cycles.(b) + (t.cycles - c0);
   t.cal_host_s.(b) <- t.cal_host_s.(b) +. (now_s () -. h0)
-
-let run ?(cycle_limit = max_int) t =
-  let main = Program.main t.program in
-  t.executed.((main :> int)) <- true;
-  t.on_first_execution main;
-  ignore
-    (push_frame t
-       t.code_table.((main :> int))
-       t.dcode_table.((main :> int))
-       t.native_table.((main :> int)));
-  t.call_count <- t.call_count + 1;
-  while t.depth > 0 do
-    (* The timer fires before the fetch: hooks may install code or
-       on-stack-replace the top frame, so nothing is cached across
-       them. *)
-    if t.cycles >= t.next_sample then begin
-      t.next_sample <- t.next_sample + t.sample_period;
-      if t.cycles > cycle_limit then raise Cycle_limit_exceeded;
-      timer_hook t
-    end;
-    let fr = t.frames.(t.depth - 1) in
-    let gap = t.next_sample - t.cycles in
-    (* Even when the clock already passed [next_sample] again (an AOS
-       hook can charge more than a whole period), the naive loop still
-       executes one instruction between consecutive checks — a 1-cycle
-       window admits exactly one instruction, every charge being >= 1. *)
-    let budget = if gap <= 0 then 1 else gap in
-    if t.calibrate then exec_window_calibrated t fr budget
-    else exec_window t fr budget
-  done
-
-(* The naive instruction-at-a-time loop, kept verbatim as the executable
-   specification of the interpreter: [run] must be observationally
-   identical (cycles, output, counters, hook timing). The differential
-   property tests in the test suite run both on random programs. *)
-let run_reference ?(cycle_limit = max_int) t =
-  let main = Program.main t.program in
-  t.executed.((main :> int)) <- true;
-  t.on_first_execution main;
-  ignore
-    (push_frame t
-       t.code_table.((main :> int))
-       t.dcode_table.((main :> int))
-       t.native_table.((main :> int)));
-  t.call_count <- t.call_count + 1;
-  let base_cost = t.cost.Cost.baseline_instr in
-  let opt_cost = t.cost.Cost.opt_instr in
-  while t.depth > 0 do
-    if t.cycles >= t.next_sample then begin
-      t.next_sample <- t.next_sample + t.sample_period;
-      if t.cycles > cycle_limit then raise Cycle_limit_exceeded;
-      t.on_timer_sample t
-    end;
-    let fr = t.frames.(t.depth - 1) in
-    let instr = fr.f_code.Code.instrs.(fr.f_pc) in
-    t.instr_count <- t.instr_count + 1;
-    t.cycles <-
-      t.cycles
-      + (match fr.f_code.Code.tier with
-        | Code.Baseline -> base_cost
-        | Code.Optimized -> opt_cost);
-    let stack = fr.f_regs in
-    (match instr with
-    | Instr.Const n ->
-        set_checked stack fr.f_sp (Value.of_int n);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Const_null ->
-        set_checked stack fr.f_sp Value.null;
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Load i ->
-        set_checked stack fr.f_sp fr.f_regs.(i);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Store i ->
-        fr.f_sp <- fr.f_sp - 1;
-        set_checked fr.f_regs i stack.(fr.f_sp);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Dup ->
-        set_checked stack fr.f_sp stack.(fr.f_sp - 1);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Pop ->
-        fr.f_sp <- fr.f_sp - 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Swap ->
-        let a = stack.(fr.f_sp - 1) in
-        set_checked stack (fr.f_sp - 1) stack.(fr.f_sp - 2);
-        set_checked stack (fr.f_sp - 2) a;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Binop op ->
-        let b = as_int stack.(fr.f_sp - 1) in
-        let a = as_int stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 1;
-        set_checked stack (fr.f_sp - 1) (Value.of_int (eval_binop op a b));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Neg ->
-        set_checked stack (fr.f_sp - 1)
-          (Value.of_int (-as_int stack.(fr.f_sp - 1)));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Not ->
-        set_checked stack (fr.f_sp - 1)
-          (Value.of_int (if truthy stack.(fr.f_sp - 1) then 0 else 1));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Cmp c ->
-        let b = stack.(fr.f_sp - 1) in
-        let a = stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 1;
-        set_checked stack (fr.f_sp - 1) (Value.of_int (eval_cmp c a b));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Jump target -> fr.f_pc <- target
-    | Instr.Jump_if target ->
-        fr.f_sp <- fr.f_sp - 1;
-        if truthy stack.(fr.f_sp) then fr.f_pc <- target
-        else fr.f_pc <- fr.f_pc + 1
-    | Instr.Jump_ifnot target ->
-        fr.f_sp <- fr.f_sp - 1;
-        if truthy stack.(fr.f_sp) then fr.f_pc <- fr.f_pc + 1
-        else fr.f_pc <- target
-    | Instr.New cid ->
-        t.cycles <- t.cycles + t.cost.Cost.alloc;
-        note_class_load t cid;
-        set_checked stack fr.f_sp (Value.alloc t.program cid);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Get_field i ->
-        let o = as_obj stack.(fr.f_sp - 1) in
-        set_checked stack (fr.f_sp - 1) o.Value.fields.(i);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Put_field i ->
-        let v = stack.(fr.f_sp - 1) in
-        let o = as_obj stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 2;
-        o.Value.fields.(i) <- v;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Get_global i ->
-        set_checked stack fr.f_sp t.globals.(i);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Put_global i ->
-        fr.f_sp <- fr.f_sp - 1;
-        t.globals.(i) <- stack.(fr.f_sp);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_new ->
-        let n = as_int stack.(fr.f_sp - 1) in
-        if n < 0 then rerr "negative array size %d" n;
-        t.cycles <-
-          t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        set_checked stack (fr.f_sp - 1) (Value.arr (Array.make n Value.zero));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_get ->
-        let i = as_int stack.(fr.f_sp - 1) in
-        let a = as_arr stack.(fr.f_sp - 2) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        fr.f_sp <- fr.f_sp - 1;
-        set_checked stack (fr.f_sp - 1) a.(i);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_set ->
-        let v = stack.(fr.f_sp - 1) in
-        let i = as_int stack.(fr.f_sp - 2) in
-        let a = as_arr stack.(fr.f_sp - 3) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        fr.f_sp <- fr.f_sp - 3;
-        a.(i) <- v;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_len ->
-        let a = as_arr stack.(fr.f_sp - 1) in
-        set_checked stack (fr.f_sp - 1) (Value.of_int (Array.length a));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Call_static mid -> invoke t mid
-    | Instr.Call_direct mid -> invoke t mid
-    | Instr.Call_virtual (sel, argc) ->
-        t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
-        let recv = stack.(fr.f_sp - 1 - argc) in
-        invoke t (dispatch_target t recv sel)
-    | Instr.Guard_method g ->
-        t.cycles <- t.cycles + t.cost.Cost.guard;
-        let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
-        if guard_ok t g recv then begin
-          t.guard_hits <- t.guard_hits + 1;
-          fr.f_pc <- fr.f_pc + 1
-        end
-        else begin
-          t.guard_misses <- t.guard_misses + 1;
-          t.on_guard_miss t fr.f_code.Code.meth fr.f_pc;
-          fr.f_pc <- g.Instr.fail
-        end
-    | Instr.Return ->
-        let result = stack.(fr.f_sp - 1) in
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          set_checked caller.f_regs caller.f_sp result;
-          caller.f_sp <- caller.f_sp + 1;
-          caller.f_pc <- caller.f_pc + 1
-        end
-    | Instr.Return_void ->
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          caller.f_pc <- caller.f_pc + 1
-        end
-    | Instr.Instance_of cid ->
-        set_checked stack (fr.f_sp - 1)
-          (Value.of_bool (instance_of t cid stack.(fr.f_sp - 1)));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Print_int ->
-        fr.f_sp <- fr.f_sp - 1;
-        t.output_rev <- as_int stack.(fr.f_sp) :: t.output_rev;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Nop -> fr.f_pc <- fr.f_pc + 1);
-    ()
-  done
 
 (* --- virtual threads --- *)
 
@@ -1616,17 +1304,7 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
   t.depth <- th.th_depth;
   if not th.th_started then begin
     th.th_started <- true;
-    let main = Program.main t.program in
-    if not t.executed.((main :> int)) then begin
-      t.executed.((main :> int)) <- true;
-      t.on_first_execution main
-    end;
-    ignore
-      (push_frame t
-         t.code_table.((main :> int))
-         t.dcode_table.((main :> int))
-         t.native_table.((main :> int)));
-    t.call_count <- t.call_count + 1
+    enter_main t
   end;
   let quantum_end =
     if quantum >= max_int - t.cycles then max_int else t.cycles + quantum
@@ -1641,10 +1319,17 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
       th.th_frames <- t.frames;
       th.th_depth <- t.depth)
     (fun () ->
-      (* Same driver loop as [run], with the window additionally clipped
-         at the quantum boundary: preemption can only happen where a
-         timer check could have happened, so threaded execution samples
-         at exactly the yield points single-threaded execution has. *)
+      (* The one driver loop, with the window additionally clipped at
+         the quantum boundary: preemption can only happen where a timer
+         check could have happened, so threaded execution samples at
+         exactly the yield points single-threaded execution has. The
+         timer fires before the fetch: hooks may install code or
+         on-stack-replace the top frame, so nothing is cached across
+         them. Even when the clock already passed [next_sample] again
+         (an AOS hook can charge more than a whole period), the naive
+         loop still executes one instruction between consecutive checks
+         — a 1-cycle window admits exactly one instruction, every charge
+         being >= 1. *)
       while t.depth > 0 && t.cycles < quantum_end do
         if t.cycles >= t.next_sample then begin
           t.next_sample <- t.next_sample + t.sample_period;
@@ -1660,3 +1345,7 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
         end
       done;
       if t.depth = 0 then Done else Running)
+
+(* Single-threaded execution is one thread given an unbounded quantum:
+   [resume] never preempts it, so its windows are exactly the timer's. *)
+let run ?cycle_limit t = ignore (resume ?cycle_limit t (spawn t) ~quantum:max_int)

@@ -4,15 +4,19 @@
     baseline bodies or JIT-produced optimized code — while advancing the
     virtual cycle clock according to {!Cost}. New code activates on the
     next invocation of the method; frames already on the stack keep
-    executing the code they started in, unless the AOS explicitly
-    transfers the innermost frame with {!osr}.
+    executing the code they started in, unless the AOS explicitly moves
+    them onto the installed code with {!osr_into} (one on-stack transfer
+    for one frame or a collapsing inline chain; the plans come from
+    [Acsi_deopt]).
 
     Internally each installed [Code.t] is pre-decoded ({!Dcode}) and the
     timer check is batched over windows of provably event-free
     instructions; both are exact-equivalence transformations — cycle
     counts, hook firing points, counters and output are bit-identical to
-    the naive instruction-at-a-time loop, which is kept as
-    {!run_reference} and differentially tested against {!run}.
+    the naive instruction-at-a-time loop, which the test suite keeps as
+    the executable specification of {!run} and differentially tests
+    against it. There is one driver loop, {!resume}; {!run} is one
+    thread resumed with an unbounded quantum.
 
     Hooks let the adaptive optimization system observe execution without
     the interpreter knowing anything about it:
@@ -183,8 +187,9 @@ val osr_count : t -> int
     ([osr_up + osr_down]). *)
 
 val osr_up : t -> int
-(** Upward transfers: interpreter/baseline frames replaced by optimized
-    code ({!osr} and {!osr_into}). *)
+(** Upward transfers ({!osr_into}): a stale frame, or the frames of a
+    collapsing inline chain, replaced by one frame of the installed
+    code. *)
 
 val osr_down : t -> int
 (** Downward transfers (deoptimizations): optimized frames replaced by
@@ -202,7 +207,9 @@ val output : t -> int list
 
 val install_code : t -> Ids.Method_id.t -> Code.t -> unit
 (** Also discards any closure-tier code compiled for the replaced
-    [Code.t]; re-install with {!install_native} after recompiling. *)
+    [Code.t]; re-install with {!install_native} after recompiling.
+    Re-installing the method's baseline code reuses its initial
+    decoding. *)
 
 val install_native : t ->
   Ids.Method_id.t -> fns:nfn array -> entry_depths:int array -> unit
@@ -213,7 +220,11 @@ val install_native : t ->
     the closures; live frames keep their tier. Raises [Invalid_argument]
     if [fns] does not cover the installed code 1:1. *)
 
-val native_installed : t -> Ids.Method_id.t -> bool
+val native_of : t -> Ids.Method_id.t -> (nfn array * int array) option
+(** The closure-tier entry points and entry depths active for the
+    installed code of [mid], if any — what {!install_native} was last
+    given. The closures are VM-independent (runtime state flows through
+    {!wst}), so another VM running the same code may install them. *)
 
 val set_calibrate : t -> bool -> unit
 (** Enable per-tier host-time sampling in the driver loops (off by
@@ -269,21 +280,15 @@ val deopt_top_frame :
     nothing; the caller accounts for the transfer cost. *)
 
 val osr_into : t -> Ids.Method_id.t -> plans:frame_plan array -> pc:int -> unit
-(** Replace the top [Array.length plans] frames (which the caller has
-    verified to match [plans]) by one frame of [mid]'s currently
-    installed code resuming at [pc] — the inverse of
-    {!deopt_top_frame}, generalizing {!osr} across inline regions. *)
+(** The one upward transfer: replace the top [Array.length plans] frames
+    (which the caller has verified to match [plans]) by one frame of
+    [mid]'s currently installed code resuming at [pc] — the inverse of
+    {!deopt_top_frame}. A single stale frame is the one-plan case. Only
+    safe at an instruction boundary (a VM hook). Charges nothing. *)
 
 val charge : t -> int -> unit
 (** Advance the virtual clock by externally-accounted cycles (the runtime
     uses this to make AOS overhead visible to the timer). *)
-
-val osr : t -> Ids.Method_id.t -> bool
-(** Attempt on-stack replacement of the innermost frame onto the currently
-    installed code for [mid] (an extension over the paper's system, which
-    had none — recompiled code normally activates on the next invocation).
-    Only safe at an instruction boundary, i.e. from within a VM hook.
-    Returns whether a transfer happened. *)
 
 val walk_source_stack : t -> f:(Ids.Method_id.t -> int -> bool) -> unit
 (** Visit the source-level call stack innermost-first as
@@ -296,14 +301,9 @@ val stack_depth : t -> int
 (** Physical frame count (for tests). *)
 
 val run : ?cycle_limit:int -> t -> unit
-(** Execute from the program's [main] until it returns. Raises
+(** Execute from the program's [main] until it returns: {!resume} of a
+    fresh {!spawn}ed thread with an unbounded quantum. Raises
     {!Cycle_limit_exceeded} if the clock passes [cycle_limit]. *)
-
-val run_reference : ?cycle_limit:int -> t -> unit
-(** The naive instruction-at-a-time interpreter loop, kept as the
-    executable specification of {!run}: on any program and hook
-    configuration both produce bit-identical cycles, counters, output and
-    hook timing. Roughly 2-3x slower; exists for differential testing. *)
 
 (** {2 Virtual threads}
 
@@ -360,6 +360,11 @@ val as_obj : Value.t -> Value.obj
 val as_arr : Value.t -> Value.t array
 val eval_binop : Instr.binop -> int -> int -> int
 val eval_cmp : Instr.cmp -> Value.t -> Value.t -> int
+
+val enter_main : t -> unit
+(** The main frame's prologue every driver shares: fire [main]'s
+    first-execution hook if it never ran, push its frame and count the
+    call. *)
 
 val flush : t -> int -> int -> unit
 (** [flush t icost ninstr] settles [ninstr] deferred instructions, each

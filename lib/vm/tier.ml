@@ -45,8 +45,8 @@ open Interp
    same prepayment inequality [step] uses for fused ops, boundary tails
    run on [step] itself, and the seven non-uniform ops are line-for-line
    transcriptions. The differential test suite (tier on vs off, plus the
-   naive [run_reference] loop) enforces byte-identical cycles, counters,
-   output and hook timing on top of that argument.
+   naive reference loop the tests keep) enforces byte-identical cycles,
+   counters, output and hook timing on top of that argument.
 
    The tiny value helpers and the register store [set] are redefined
    locally (same definitions, same error messages): dev builds compile
@@ -739,18 +739,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
   (* Operand-stack entry depths, for the OSR-transfer cross-check: the
      same derivation the interpreter side performs, run at compile time
      against the code actually being installed. *)
-  let entry_depths =
-    let root = Program.meth t.program code.Code.meth in
-    let wrapper =
-      {
-        root with
-        Meth.body = code.Code.instrs;
-        max_locals = code.Code.max_locals;
-        max_stack = code.Code.max_stack;
-      }
-    in
-    Verify.entry_depths t.program wrapper
-  in
+  let entry_depths = Verify.entry_depths t.program (Code.as_meth t.program code) in
   (nfns, entry_depths)
 
 (* The bench sweep runs one program under dozens of policies, and every

@@ -82,7 +82,7 @@ let prop_flag_decisions_match =
           sort_decisions
             (System.flag_decisions dcg ~skew_threshold ~min_context_share)
           = sort_decisions
-              (System.flag_decisions_reference dcg ~skew_threshold
+              (Reference.flag_decisions dcg ~skew_threshold
                  ~min_context_share))
         [ (0.8, 0.1); (0.5, 0.5); (1.0, 0.0); (0.0, 1.0) ])
 
@@ -112,9 +112,9 @@ let prop_candidates_match =
         (fun chain ->
           let site_chain = entry_array chain in
           Rules.candidates rules ~site_chain
-          = Rules.candidates_reference rules ~site_chain
+          = Reference.candidates rules ~site_chain
           && Rules.candidates ~exact:true rules ~site_chain
-             = Rules.candidates_reference ~exact:true rules ~site_chain)
+             = Reference.candidates ~exact:true rules ~site_chain)
         queries)
 
 (* The memo cache returns the cached list itself on a repeat query (same
@@ -134,7 +134,7 @@ let test_candidates_memo () =
   let b = Rules.candidates rules ~site_chain:(chain ()) in
   check_bool "repeat query returns the cached result" true (a == b);
   check_bool "cached result is right" true
-    (a = Rules.candidates_reference rules ~site_chain:(chain ()));
+    (a = Reference.candidates rules ~site_chain:(chain ()));
   (* The cache key must not alias the caller's (mutable) array. *)
   let mutated = chain () in
   let c = Rules.candidates rules ~site_chain:mutated in
@@ -215,13 +215,13 @@ let prop_registry_matches =
       Array.for_all
         (fun (m : Meth.t) ->
           Registry.roots_containing registry m.Meth.id
-          = Registry.roots_containing_reference registry m.Meth.id)
+          = Reference.roots_containing registry m.Meth.id)
         (Program.methods program)
       && List.for_all
            (fun (caller, callsite, callee, rules_version) ->
              System.recompile_candidates registry ~caller:(mid caller)
                ~callsite ~callee:(mid callee) ~rules_version ~max_opt_versions
-             = System.recompile_candidates_reference registry
+             = Reference.recompile_candidates registry
                  ~caller:(mid caller) ~callsite ~callee:(mid callee)
                  ~rules_version ~max_opt_versions)
            queries)

@@ -140,9 +140,9 @@ let test_deopt_mechanism_direct () =
               ~root:(Program.meth program main_id)
           in
           Acsi_vm.Interp.install_code vm main_id code;
-          if Acsi_vm.Interp.osr vm main_id then begin
-            installed :=
-              Some (code, Acsi_deopt.Deopt.table_of_code program code);
+          let table = Acsi_deopt.Deopt.table_of_code program code in
+          if Acsi_deopt.Deopt.osr_up vm table = 1 then begin
+            installed := Some (code, table);
             stage := `Deopt
           end
       | `Deopt -> (

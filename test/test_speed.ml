@@ -179,7 +179,7 @@ let prop_decoded_matches_reference =
             invoke_fires := (Interp.cycles vm, (m :> int)) :: !invoke_fires);
         Interp.set_on_first_execution vm (fun m ->
             first_execs := (m :> int) :: !first_execs);
-        if reference then Interp.run_reference vm else Interp.run vm;
+        if reference then Reference.run vm else Interp.run vm;
         ( Interp.cycles vm,
           Interp.instructions_executed vm,
           Interp.calls_executed vm,
@@ -211,7 +211,7 @@ let prop_aos_matches_reference =
         in
         let sys = Acsi_aos.System.create cfg.Config.aos vm in
         (if reference then
-           Interp.run_reference ~cycle_limit:cfg.Config.cycle_limit vm
+           Reference.run ~cycle_limit:cfg.Config.cycle_limit vm
          else Interp.run ~cycle_limit:cfg.Config.cycle_limit vm);
         ( Metrics.of_run vm sys,
           Interp.output vm,

@@ -122,15 +122,14 @@ let test_malformed_code_rejected () =
   Alcotest.(check bool)
     "Jit_check rejects the code" true
     (Acsi_analysis.Jit_check.check program bad <> []);
-  (* The tier compiler's own verification pass refuses it as well (the
-     gate the AOS relies on when [verify_installed] is off)... *)
+  (* The tier compiler's own verification pass refuses it as well... *)
   (match Tier.install vm main bad with
   | () -> Alcotest.fail "tier compiled stack-underflowing code"
   | exception _ -> ());
   (* ...and the method stays on the interpreter tier. *)
   Alcotest.(check bool)
     "no closure code installed" false
-    (Interp.native_installed vm main)
+    (Interp.native_of vm main <> None)
 
 (* --- satellite: tier decisions recorded in provenance --- *)
 
@@ -157,7 +156,7 @@ let test_provenance_records_tier_decisions () =
   match System.provenance result.Runtime.sys with
   | None -> Alcotest.fail "provenance store missing"
   | Some prov ->
-      let compiled, rejected, fell_back =
+      let compiled, fell_back =
         Provenance.tier_outcome_counts prov
       in
       Alcotest.(check bool)
@@ -165,10 +164,10 @@ let test_provenance_records_tier_decisions () =
         (Provenance.tier_count prov > 0);
       Alcotest.(check int)
         "decision total is consistent" (Provenance.tier_count prov)
-        (compiled + rejected + fell_back);
+        (compiled + fell_back);
       Alcotest.(check bool)
         "verified workload code all compiled" true
-        (compiled > 0 && rejected = 0 && fell_back = 0)
+        (compiled > 0 && fell_back = 0)
 
 (* --- satellite: preemption across tiers --- *)
 
@@ -195,9 +194,10 @@ let threaded_run ~tier_on program =
     if s1 = Interp.Running || s2 = Interp.Running then drive ()
   in
   drive ();
-  (Interp.output vm, Interp.cycles vm, !resumes, Interp.native_installed vm
-                                                   (Acsi_bytecode.Program.main
-                                                      program))
+  ( Interp.output vm,
+    Interp.cycles vm,
+    !resumes,
+    Interp.native_of vm (Acsi_bytecode.Program.main program) <> None )
 
 let test_preemption_across_tiers () =
   let program = Compile.prog counter_prog in

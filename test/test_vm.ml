@@ -287,7 +287,7 @@ let engines : (string * (Interp.t -> unit)) list =
       fun vm ->
         install_closure_tier vm;
         Interp.run vm );
-    ("reference", fun vm -> Interp.run_reference vm);
+    ("reference", fun vm -> Reference.run vm);
   ]
 
 let box_classes =
