@@ -711,6 +711,25 @@ let run_shards t ~name cfg program =
     ~period:(Option.value t.open_period ~default:2400)
     ~name cfg program
 
+(* Host GC counters of a run, logged at info level (stderr under -v) so
+   a GC regression on the serving path shows in tool output without
+   touching stdout. [Gc.quick_stat] covers every domain, but domains
+   flush their counters at minor collections, so a multi-domain delta
+   can trail by one minor heap per domain. *)
+let with_gc_log ~name f =
+  let before = Gc.quick_stat () in
+  let r = f () in
+  let after = Gc.quick_stat () in
+  let mwords field = (field after -. field before) /. 1e6 in
+  Logs.info (fun m ->
+      m "%s: host GC %.2f minor Mwords, %.2f promoted Mwords, %d major \
+         collections"
+        name
+        (mwords (fun s -> s.Gc.minor_words))
+        (mwords (fun s -> s.Gc.promoted_words))
+        (after.Gc.major_collections - before.Gc.major_collections));
+  r
+
 let run_server t ?async_compile ?telemetry_interval ~name cfg program =
   let mode =
     match t.open_period with
@@ -753,7 +772,9 @@ let serve () benches scale cfg t sync_compile show_windows =
         let name = spec.Workloads.name and _, program = build spec scale in
         if i > 0 then Format.printf "@.";
         if t.shards > 0 then begin
-          let r = run_shards t ~name cfg program in
+          let r =
+            with_gc_log ~name (fun () -> run_shards t ~name cfg program)
+          in
           Format.printf "%a@." Shards.pp_summary r.Shards.summary;
           if show_windows then
             Format.printf "%a@." Shards.pp_shards r.Shards.shard_stats

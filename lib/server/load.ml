@@ -25,7 +25,7 @@ let percentile xs p =
   if n = 0 then 0
   else begin
     let sorted = Array.copy xs in
-    Array.sort Int.compare sorted;
+    Array.stable_sort Int.compare sorted;
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
     sorted.(min (n - 1) (max 0 (rank - 1)))
   end
@@ -35,7 +35,7 @@ let percentiles xs ps =
   if n = 0 then Array.map (fun _ -> 0) ps
   else begin
     let sorted = Array.copy xs in
-    Array.sort Int.compare sorted;
+    Array.stable_sort Int.compare sorted;
     Array.map
       (fun p ->
         let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in

@@ -3,10 +3,11 @@ module Interp = Acsi_vm.Interp
 type entry = {
   e_tid : int;
   e_thread : Interp.thread;
-  mutable e_resumes : int;
   mutable e_enqueued_at : int;  (* slice index when (re)enqueued *)
 }
 
+(* The ready queue holds one [Some entry] cell per thread, allocated at
+   spawn and re-enqueued as is, so a slice allocates nothing here. *)
 type t = {
   vm : Interp.t;
   quantum : int;
@@ -14,8 +15,8 @@ type t = {
   cycle_limit : int;
   on_switch : unit -> unit;
   tracer : Acsi_obs.Tracer.t;
-  ready : entry Queue.t;
-  resumes_by_tid : (int, int) Hashtbl.t;
+  ready : entry option Ring.t;
+  mutable resumes_by_tid : int array;  (* thread ids are dense from 0 *)
   mutable live : int;
   mutable max_live : int;
   mutable slices : int;
@@ -37,8 +38,8 @@ let create ?(quantum = 25_000) ?(switch_cost = 200) ?(cycle_limit = max_int)
     cycle_limit;
     on_switch;
     tracer;
-    ready = Queue.create ();
-    resumes_by_tid = Hashtbl.create 64;
+    ready = Ring.create ~empty:None;
+    resumes_by_tid = Array.make 64 0;
     live = 0;
     max_live = 0;
     slices = 0;
@@ -51,10 +52,14 @@ let create ?(quantum = 25_000) ?(switch_cost = 200) ?(cycle_limit = max_int)
 let spawn t =
   let th = Interp.spawn t.vm in
   let tid = Interp.thread_id th in
-  Queue.add
-    { e_tid = tid; e_thread = th; e_resumes = 0; e_enqueued_at = t.slices }
-    t.ready;
-  Hashtbl.replace t.resumes_by_tid tid 0;
+  Ring.push t.ready
+    (Some { e_tid = tid; e_thread = th; e_enqueued_at = t.slices });
+  let n = Array.length t.resumes_by_tid in
+  if tid >= n then begin
+    let bigger = Array.make (max (tid + 1) (2 * n)) 0 in
+    Array.blit t.resumes_by_tid 0 bigger 0 n;
+    t.resumes_by_tid <- bigger
+  end;
   t.live <- t.live + 1;
   t.max_live <- max t.max_live t.live;
   tid
@@ -67,12 +72,14 @@ let max_resume_gap t = t.max_resume_gap
 let completions t = List.rev t.completions_rev
 
 let resumes t ~tid =
-  match Hashtbl.find_opt t.resumes_by_tid tid with Some n -> n | None -> 0
+  if tid >= 0 && tid < Array.length t.resumes_by_tid then
+    t.resumes_by_tid.(tid)
+  else 0
 
 let run_slice t =
-  match Queue.take_opt t.ready with
+  match Ring.pop t.ready with
   | None -> None
-  | Some e ->
+  | Some e as cell ->
       t.max_resume_gap <- max t.max_resume_gap (t.slices - e.e_enqueued_at);
       if e.e_tid <> t.last_tid then begin
         if t.last_tid >= 0 && t.switch_cost > 0 then
@@ -81,8 +88,7 @@ let run_slice t =
       end;
       t.last_tid <- e.e_tid;
       t.on_switch ();
-      e.e_resumes <- e.e_resumes + 1;
-      Hashtbl.replace t.resumes_by_tid e.e_tid e.e_resumes;
+      t.resumes_by_tid.(e.e_tid) <- t.resumes_by_tid.(e.e_tid) + 1;
       let t0 = Interp.cycles t.vm in
       let status =
         Interp.resume ~cycle_limit:t.cycle_limit t.vm e.e_thread
@@ -100,7 +106,7 @@ let run_slice t =
       (match status with
       | Interp.Running ->
           e.e_enqueued_at <- t.slices;
-          Queue.add e t.ready
+          Ring.push t.ready cell
       | Interp.Done ->
           t.live <- t.live - 1;
           t.completions_rev <-

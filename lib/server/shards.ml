@@ -132,7 +132,10 @@ type result = {
    unadmitted entry) and [sd_stolen] holds sessions stolen from other
    shards at barriers. Sessions are (arrival, rid) tuples until
    admission spawns a virtual thread for them — which is what keeps a
-   million-session backlog cheap. *)
+   million-session backlog cheap. A stolen session is the victim's own
+   tuple, moved, never copied. After admission a session is one int,
+   its arrival, in [sd_arrival_by_tid] (thread ids are dense per VM), so
+   nothing long-lived keeps a finished session reachable. *)
 type shard = {
   sd_id : int;
   sd_vm : Interp.t;
@@ -140,8 +143,8 @@ type shard = {
   sd_sched : Sched.t;
   sd_home : (int * int) array;
   mutable sd_head : int;
-  sd_stolen : (int * int) Queue.t;
-  sd_by_tid : (int, int * int) Hashtbl.t;
+  sd_stolen : (int * int) Ring.t;
+  mutable sd_arrival_by_tid : int array;
   mutable sd_latencies_rev : int list;
   mutable sd_served : int;
   mutable sd_steals_in : int;
@@ -165,6 +168,10 @@ type publication = {
   p_native : (Interp.nfn array * int array) option;
 }
 
+(* The stolen ring's empty value: arrives never, so an empty ring's
+   front loses every comparison with a real arrival. *)
+let no_session = (max_int, -1)
+
 let admit max_live sd =
   let now = Interp.cycles sd.sd_vm in
   let n_home = Array.length sd.sd_home in
@@ -173,22 +180,24 @@ let admit max_live sd =
       let home_at =
         if sd.sd_head < n_home then fst sd.sd_home.(sd.sd_head) else max_int
       in
-      let stolen_at =
-        match Queue.peek_opt sd.sd_stolen with
-        | Some (at, _) -> at
-        | None -> max_int
-      in
+      let stolen_at = fst (Ring.peek sd.sd_stolen) in
       if min home_at stolen_at <= now then begin
-        let at, rid =
-          if stolen_at <= home_at then Queue.pop sd.sd_stolen
+        let at =
+          if stolen_at <= home_at then fst (Ring.pop sd.sd_stolen)
           else begin
-            let e = sd.sd_home.(sd.sd_head) in
+            let at, _ = sd.sd_home.(sd.sd_head) in
             sd.sd_head <- sd.sd_head + 1;
-            e
+            at
           end
         in
         let tid = Sched.spawn sd.sd_sched in
-        Hashtbl.replace sd.sd_by_tid tid (rid, at);
+        let n = Array.length sd.sd_arrival_by_tid in
+        if tid >= n then begin
+          let bigger = Array.make (max (tid + 1) (2 * n)) 0 in
+          Array.blit sd.sd_arrival_by_tid 0 bigger 0 n;
+          sd.sd_arrival_by_tid <- bigger
+        end;
+        sd.sd_arrival_by_tid.(tid) <- at;
         go ()
       end
     end
@@ -197,12 +206,7 @@ let admit max_live sd =
 
 let finish_one sd tid =
   let finish = Interp.cycles sd.sd_vm in
-  let _rid, arrival =
-    match Hashtbl.find_opt sd.sd_by_tid tid with
-    | Some x -> x
-    | None -> assert false
-  in
-  Hashtbl.remove sd.sd_by_tid tid;
+  let arrival = sd.sd_arrival_by_tid.(tid) in
   sd.sd_latencies_rev <- (finish - arrival) :: sd.sd_latencies_rev;
   Acsi_obs.Hist.record sd.sd_latency_hist (finish - arrival);
   sd.sd_served <- sd.sd_served + 1;
@@ -214,12 +218,7 @@ let next_arrival sd =
     if sd.sd_head < Array.length sd.sd_home then fst sd.sd_home.(sd.sd_head)
     else max_int
   in
-  let stolen_at =
-    match Queue.peek_opt sd.sd_stolen with
-    | Some (at, _) -> at
-    | None -> max_int
-  in
-  min home_at stolen_at
+  min home_at (fst (Ring.peek sd.sd_stolen))
 
 (* Run one shard up to the round's virtual-time limit. Touches only the
    shard's own state, so shards run on concurrent host domains; the
@@ -259,7 +258,7 @@ let due_home sd =
   done;
   !lo - sd.sd_head
 
-let movable sd = due_home sd + Queue.length sd.sd_stolen
+let movable sd = due_home sd + Ring.length sd.sd_stolen
 
 (* Deterministic work stealing at a barrier: greedily move the oldest
    due session from the most-backlogged shard to the least-backlogged
@@ -297,14 +296,14 @@ let steal_pass shards ~seed ~round ~now ~tel =
               fst v.sd_home.(v.sd_head)
             else max_int
           in
-          match Queue.peek_opt v.sd_stolen with
-          | Some (at, _) when at <= home_at -> Queue.pop v.sd_stolen
-          | _ ->
-              let e = v.sd_home.(v.sd_head) in
-              v.sd_head <- v.sd_head + 1;
-              e
+          if fst (Ring.peek v.sd_stolen) <= home_at then Ring.pop v.sd_stolen
+          else begin
+            let e = v.sd_home.(v.sd_head) in
+            v.sd_head <- v.sd_head + 1;
+            e
+          end
         in
-        Queue.add session t.sd_stolen;
+        Ring.push t.sd_stolen session;
         v.sd_steals_out <- v.sd_steals_out + 1;
         t.sd_steals_in <- t.sd_steals_in + 1;
         (* Flow arrow from victim to thief at barrier time; steal
@@ -451,8 +450,8 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
       sd_sched = sched;
       sd_home = Array.of_list !mine;
       sd_head = 0;
-      sd_stolen = Queue.create ();
-      sd_by_tid = Hashtbl.create 64;
+      sd_stolen = Ring.create ~empty:no_session;
+      sd_arrival_by_tid = Array.make 64 0;
       sd_latencies_rev = [];
       sd_served = 0;
       sd_steals_in = 0;

@@ -343,10 +343,13 @@ let walk_source_stack t ~f =
    arrays born in the minor heap keep locals/stack stores on the cheap
    minor-to-minor write path and die young. (Reusing popped frames was
    tried and measured slower — long-lived frames get promoted, and every
-   pointer store into them then pays the remembered-set barrier.) *)
+   pointer store into them then pays the remembered-set barrier.) The
+   stack array itself starts at 8 slots and doubles: most server
+   sessions stay shallow, and a thread holds its array (stale frames
+   above [depth] included) for as long as it is queued. *)
 let push_frame t code dcode ncode =
   (if t.depth = Array.length t.frames then begin
-     let cap = max 64 (2 * t.depth) in
+     let cap = max 8 (2 * t.depth) in
      let bigger =
        Array.make cap
          {
@@ -1311,11 +1314,15 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
   in
   (* Save the (possibly reallocated) stack back even if a runtime error or
      the cycle limit escapes mid-slice, so the scheduler's view stays
-     consistent with the VM's. *)
+     consistent with the VM's. A finished thread drops its stack: the
+     array still holds every frame it ever pushed, and whoever still
+     holds the thread would otherwise keep those frames and everything
+     they reference. *)
   t.window_end <- quantum_end;
   Fun.protect
     ~finally:(fun () ->
       t.window_end <- max_int;
+      if t.depth = 0 then t.frames <- [||];
       th.th_frames <- t.frames;
       th.th_depth <- t.depth)
     (fun () ->

@@ -329,7 +329,8 @@ val spawn : t -> thread
     has never run) on the first {!resume}. *)
 
 val thread_id : thread -> int
-(** Spawn-order identifier, unique within this VM. *)
+(** Spawn-order identifier: the VM's first thread is 0, the next 1, and
+    so on, so callers may index arrays by it. *)
 
 val thread_depth : thread -> int
 (** Physical frame count at the last suspension (0 before the first
@@ -340,8 +341,8 @@ val thread_done : thread -> bool
 
 val resume : ?cycle_limit:int -> t -> thread -> quantum:int -> thread_status
 (** Execute the thread for at most [quantum] virtual cycles (timer hooks
-    included), then suspend it. Returns [Done] when [main] returned.
-    Raises [Invalid_argument] if [quantum <= 0], {!Cycle_limit_exceeded}
+    included), then suspend it. Returns [Done] when [main] returned; a
+    finished thread keeps no frames. Raises [Invalid_argument] if [quantum <= 0], {!Cycle_limit_exceeded}
     if the shared clock passes [cycle_limit]. Must not be called
     re-entrantly (from within a VM hook). *)
 

@@ -115,6 +115,75 @@ let test_fairness_no_starvation () =
     true
     (mx - mn <= 2)
 
+(* The ready ring wraps and grows: 24 threads fill past the initial
+   capacity, 40 slices move the head round the ring, then 56 more spawns
+   grow it while wrapped, and thread ids pass the initial size of the
+   per-tid resume counts. The completion log is the one the
+   [Stdlib.Queue] scheduler produced for the same spawns: same order,
+   same finish cycles. *)
+let test_ring_wraps_and_grows () =
+  let vm = Interp.create (counter_program ()) in
+  let sched = Sched.create ~quantum:61 ~switch_cost:3 vm in
+  for _ = 1 to 24 do ignore (Sched.spawn sched) done;
+  for _ = 1 to 40 do ignore (Sched.run_slice sched) done;
+  Alcotest.(check int) "all 24 still live" 24 (Sched.live sched);
+  for _ = 1 to 56 do ignore (Sched.spawn sched) done;
+  let rec drain () =
+    match Sched.run_slice sched with Some _ -> drain () | None -> ()
+  in
+  drain ();
+  Alcotest.(check (list (pair int int)))
+    "completions as under the queue scheduler"
+    [
+      (0, 2428564); (1, 2428587); (2, 2428610); (3, 2428633);
+      (4, 2428656); (5, 2428679); (6, 2428702); (7, 2428725);
+      (8, 2428748); (9, 2428771); (10, 2428794); (11, 2428817);
+      (12, 2428840); (13, 2428863); (14, 2428886); (15, 2428909);
+      (16, 2433020); (17, 2433043); (18, 2433066); (19, 2433089);
+      (20, 2433112); (21, 2433135); (22, 2433158); (23, 2433181);
+      (24, 2437292); (25, 2437315); (26, 2437338); (27, 2437361);
+      (28, 2437384); (29, 2437407); (30, 2437430); (31, 2437453);
+      (32, 2437476); (33, 2437499); (34, 2437522); (35, 2437545);
+      (36, 2437568); (37, 2437591); (38, 2437614); (39, 2437637);
+      (40, 2437660); (41, 2437683); (42, 2437706); (43, 2437729);
+      (44, 2437752); (45, 2437775); (46, 2437798); (47, 2437821);
+      (48, 2437844); (49, 2437867); (50, 2437890); (51, 2437913);
+      (52, 2437936); (53, 2437959); (54, 2437982); (55, 2438005);
+      (56, 2438028); (57, 2438051); (58, 2438074); (59, 2438097);
+      (60, 2438120); (61, 2438143); (62, 2438166); (63, 2438189);
+      (64, 2438212); (65, 2438235); (66, 2438258); (67, 2438281);
+      (68, 2438304); (69, 2438327); (70, 2438350); (71, 2438373);
+      (72, 2438396); (73, 2438419); (74, 2438442); (75, 2438465);
+      (76, 2438488); (77, 2438511); (78, 2438534); (79, 2438557);
+    ]
+    (Sched.completions sched);
+  Alcotest.(check bool)
+    (Printf.sprintf "max gap %d <= max live %d" (Sched.max_resume_gap sched)
+       (Sched.max_live sched))
+    true
+    (Sched.max_resume_gap sched <= Sched.max_live sched);
+  for tid = 64 to 79 do
+    Alcotest.(check bool)
+      (Printf.sprintf "tid %d resumed" tid)
+      true
+      (Sched.resumes sched ~tid > 0)
+  done;
+  Alcotest.(check int) "unknown tid" 0 (Sched.resumes sched ~tid:80);
+  Alcotest.(check int) "negative tid" 0 (Sched.resumes sched ~tid:(-1))
+
+(* A finished thread keeps no stack: its frame array held every frame it
+   pushed, with their registers and the objects they referenced. *)
+let test_finished_thread_drops_frames () =
+  let vm = Interp.create (counter_program ()) in
+  let th = Interp.spawn vm in
+  Alcotest.(check bool)
+    "ran to completion" true
+    (Interp.resume vm th ~quantum:max_int = Interp.Done);
+  let words = Obj.reachable_words (Obj.repr th) in
+  Alcotest.(check bool)
+    (Printf.sprintf "finished thread reaches %d words" words)
+    true (words < 32)
+
 (* --- satellite 2: metrics snapshot / diff --- *)
 
 let test_snapshot_diff () =
@@ -312,6 +381,10 @@ let suite =
     Alcotest.test_case "resume rejects non-positive quantum" `Quick
       test_resume_rejects_bad_quantum;
     Alcotest.test_case "round-robin fairness" `Quick test_fairness_no_starvation;
+    Alcotest.test_case "ready ring wraps and grows" `Quick
+      test_ring_wraps_and_grows;
+    Alcotest.test_case "finished thread drops its frames" `Quick
+      test_finished_thread_drops_frames;
     Alcotest.test_case "metrics snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "open-loop arrivals" `Quick test_open_loop_arrivals;
     Alcotest.test_case "percentiles" `Quick test_percentiles;

@@ -368,6 +368,30 @@ let test_telemetry_tracer_export () =
     (contains "\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"flow\"");
   Alcotest.(check bool) "steal arrows are named" true (contains "\"steal\"")
 
+(* Promotion guard: a finished session must leave nothing a long-lived
+   structure still links, so a run promotes little beyond its own
+   bookkeeping. A run queue that kept dequeued cells linked promoted
+   ~190 words per session here (every queued thread with its frame
+   stack, through the remembered set); the array rings promote ~40,
+   most of it the run's fixed compile and warmup work. *)
+let test_promotion_per_session () =
+  let sessions = 4000 in
+  ignore (Lazy.force program);
+  Gc.full_major ();
+  let before = Gc.quick_stat () in
+  let r = run ~shards:4 ~sessions ~period:360 () in
+  let after = Gc.quick_stat () in
+  let served =
+    List.fold_left (fun acc h -> acc + h.Shards.h_served) 0 r.Shards.shard_stats
+  in
+  Alcotest.(check int) "every session served" sessions served;
+  let per_session =
+    (after.Gc.promoted_words -. before.Gc.promoted_words) /. float sessions
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f promoted words per session < 75" per_session)
+    true (per_session < 75.0)
+
 let suite =
   [
     Alcotest.test_case "jobs x shards determinism matrix" `Slow
@@ -390,4 +414,6 @@ let suite =
       test_telemetry_jobs_determinism;
     Alcotest.test_case "telemetry tracer chrome export" `Quick
       test_telemetry_tracer_export;
+    Alcotest.test_case "promoted words per session" `Quick
+      test_promotion_per_session;
   ]
